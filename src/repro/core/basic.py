@@ -26,6 +26,7 @@ from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.milp.solvers import Solver, get_solver, solve_with_warm_start
 from repro.obs import trace as obs
+from repro.queries.compiled import CompiledLog
 from repro.queries.log import QueryLog
 
 
@@ -87,7 +88,9 @@ class BasicRepairer:
             candidates = list(range(len(log)))
 
         encoded_attrs = None
-        if config.attribute_slicing:
+        # Without query slicing, the decompose branch below derives its own
+        # attribute set from the complaint-relevant candidates.
+        if config.attribute_slicing and (config.query_slicing or not config.decompose):
             encoded_attrs = relevant_attributes(
                 log, candidates, complaint_attrs, schema, impacts=impacts
             )
@@ -121,6 +124,8 @@ class BasicRepairer:
             encoded_attrs = target_attrs
 
         rids = complaints.rids if config.tuple_slicing else None
+        # One compiled log serves the encode and every replay of this diagnosis.
+        compiled = CompiledLog(schema)
 
         encode_start = time.perf_counter()
         with obs.span(
@@ -144,6 +149,7 @@ class BasicRepairer:
                     if (config.query_slicing or config.decompose)
                     else None
                 ),
+                compiled=compiled,
             )
             problem = encoder.encode()
             encode_span.set_attribute("variables", problem.model.num_variables)
@@ -163,6 +169,7 @@ class BasicRepairer:
             config=config,
             encode_seconds=encode_seconds,
             solve_seconds=solution.solve_seconds,
+            compiled=compiled,
         )
         if result.feasible and config.tuple_slicing and config.refinement:
             result = refine_repair(
@@ -174,5 +181,6 @@ class BasicRepairer:
                 result,
                 config=config,
                 solver=self.solver,
+                compiled=compiled,
             )
         return result

@@ -8,6 +8,11 @@ the incremental algorithm cheap: queries outside the parameterized window
 typically contribute no variables or constraints at all, mirroring the
 behaviour the paper obtains by only parameterizing a suffix of the log.
 
+Every query before the first parameterized one is folded on plain floats by
+the compiled kernels of :mod:`repro.queries.compiled` (:meth:`LogEncoder._fold_prefix`);
+the symbolic walk resumes from that state.  The kernels compute exactly what
+the symbolic walk would fold there, so the model is the same either way.
+
 Encoding rules (paper equations in parentheses):
 
 * ``UPDATE`` — a binary ``x`` indicates whether the tuple satisfies the WHERE
@@ -32,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.complaints import Complaint, ComplaintKind, ComplaintSet
 from repro.core.config import QFixConfig
-from repro.core.slicing import CompactedLog, direct_impact
+from repro.core.slicing import CompactedLog
 from repro.core.symbolic import SymbolicValue, affine_to_symbolic
 from repro.db.database import Database
 from repro.db.schema import Schema
@@ -47,6 +52,7 @@ from repro.milp.linearize import (
 )
 from repro.milp.model import Model
 from repro.milp.variables import Variable
+from repro.queries.compiled import COMPARE, INSERT, UPDATE, CompiledLog, CompiledQuery
 from repro.queries.log import QueryLog
 from repro.queries.predicates import (
     And,
@@ -150,6 +156,7 @@ class LogEncoder:
         candidate_indices: Sequence[int] | None = None,
         soft_rids: Mapping[int, float] | None = None,
         param_objective_weight: float = 1.0,
+        compiled: CompiledLog | None = None,
     ) -> None:
         self.schema = schema
         self.initial = initial
@@ -167,6 +174,11 @@ class LogEncoder:
         )
         self.soft_rids = dict(soft_rids or {})
         self.param_objective_weight = param_objective_weight
+        # ``compiled`` is the diagnosis's compiled log, shared by its encodes
+        # and replays; without one the encoder compiles ``log`` for itself.
+        self._compiled: list[CompiledQuery] = (
+            compiled if compiled is not None else CompiledLog(schema)
+        ).of(log)
 
         self._model = Model("qfix")
         self._param_vars: dict[str, Variable] = {}
@@ -183,7 +195,9 @@ class LogEncoder:
         self._param_lower = lower - margin
         self._param_upper = upper + margin
         self._epsilon = encoding.epsilon
-        self._sentinel_gap = encoding.sentinel_gap
+        self._sentinels = {
+            spec.name: spec.upper + encoding.sentinel_gap for spec in schema.attributes
+        }
 
     # -- public API ------------------------------------------------------------------
 
@@ -239,8 +253,8 @@ class LogEncoder:
         """Map each INSERT query index to the rid its tuple receives on replay."""
         mapping: dict[int, int] = {}
         next_rid = self.initial.table.next_rid
-        for index, query in enumerate(self.log):
-            if isinstance(query, InsertQuery):
+        for index, compiled in enumerate(self._compiled):
+            if compiled.kind is INSERT:
                 mapping[index] = next_rid
                 next_rid += 1
         return mapping
@@ -265,8 +279,8 @@ class LogEncoder:
             if self.candidate_indices is not None
             else set(range(len(self.log)))
         )
-        for index, query in enumerate(self.log):
-            writes = direct_impact(query, self.schema)
+        for index, compiled in enumerate(self._compiled):
+            writes = compiled.writes
             if writes & complaint_attrs:
                 encoded.add(index)
                 continue
@@ -284,16 +298,11 @@ class LogEncoder:
         some writes and pinning the final value would wrongly force
         infeasibility.
         """
-        constrained = set()
-        for attribute in encoded_attrs:
-            writers = [
-                index
-                for index, query in enumerate(self.log)
-                if attribute in direct_impact(query, self.schema)
-            ]
-            if all(index in encoded_queries for index in writers):
-                constrained.add(attribute)
-        return frozenset(constrained)
+        written_unencoded: set[str] = set()
+        for index, compiled in enumerate(self._compiled):
+            if index not in encoded_queries:
+                written_unencoded |= compiled.writes
+        return encoded_attrs - written_unencoded
 
     def _encoded_rids(self, insert_rids: Mapping[int, int]) -> tuple[int, ...]:
         if self.requested_rids is not None:
@@ -321,47 +330,120 @@ class LogEncoder:
                 )
             born_at = born_candidates[0]
 
-        sym: dict[str, SymbolicValue] = {}
-        shadow: dict[str, float] = {}
-        shadow_alive = False
-        alive = SymbolicValue.constant(0.0)
+        start = self._prefix_end()
+        folded, shadow, shadow_alive, alive_value = self._fold_prefix(
+            rid, born_at, start, encoded_attrs, encoded_queries
+        )
+        sym = {attribute: SymbolicValue.constant(value) for attribute, value in folded.items()}
+        alive = SymbolicValue.constant(alive_value)
 
+        for index in range(start, len(self._compiled)):
+            if index < born_at:
+                continue
+            compiled = self._compiled[index]
+            query = compiled.query
+            if index == born_at:
+                assert isinstance(query, InsertQuery)
+                shadow, sym = self._encode_insert(index, rid, compiled, encoded_attrs)
+                shadow_alive = True
+                alive = SymbolicValue.constant(1.0)
+                continue
+            if index in encoded_queries and compiled.kind is not INSERT:
+                alive = self._encode_step(index, rid, query, sym, shadow, alive, encoded_attrs)
+            shadow_alive = self._shadow_step(compiled, shadow, shadow_alive)
+
+        self._assign_final(rid, sym, alive, constrained_attrs)
+
+    def _prefix_end(self) -> int:
+        """Index of the first parameterized query; the queries before it fold to floats."""
+        return self.parameterized[0] if self.parameterized else len(self._compiled)
+
+    def _fold_prefix(
+        self,
+        rid: int,
+        born_at: int,
+        stop: int,
+        encoded_attrs: frozenset[str],
+        encoded_queries: frozenset[int],
+    ) -> tuple[dict[str, float], dict[str, float], bool, float]:
+        """Walk the queries before ``stop`` on plain floats.
+
+        Before the first parameterized query no parameter is a variable, so
+        every symbolic value is a constant, every predicate folds, and the
+        symbolic walk creates no variable and no constraint.  This walk
+        computes the same constants with the compiled kernels and returns
+        the state the symbolic walk resumes from at ``stop``: the encoded
+        attributes' values, the shadow values, whether the shadow tuple is
+        alive, and the encoded liveness (1.0 or 0.0).
+
+        ``view`` is what :meth:`_values_view` would build — shadow values
+        overlaid with the encoded ones — kept current as either changes.
+        """
         if born_at == -1:
             row = self.initial.get(rid)
             assert row is not None
             shadow = dict(row.values)
-            shadow_alive = True
-            alive = SymbolicValue.constant(1.0)
-            for attribute in encoded_attrs:
-                sym[attribute] = SymbolicValue.constant(row.values[attribute])
-
-        for index, query in enumerate(self.log):
-            if index < born_at:
+            folded = {attribute: row.values[attribute] for attribute in encoded_attrs}
+            start = 0
+        elif born_at < stop:
+            provided = self._compiled[born_at].values
+            shadow = {attribute: provided[attribute] for attribute in self.schema.attribute_names}
+            folded = {
+                attribute: value
+                for attribute, value in shadow.items()
+                if attribute in encoded_attrs
+            }
+            start = born_at + 1
+        else:
+            return {}, {}, False, 0.0
+        view = {**shadow, **folded}
+        shadow_alive, alive = True, 1.0
+        sentinels = self._sentinels
+        alive_deletes = self.config.encoding.delete_encoding == "alive"
+        for index in range(start, stop):
+            compiled = self._compiled[index]
+            kind = compiled.kind
+            if kind is INSERT:
                 continue
-            if index == born_at:
-                assert isinstance(query, InsertQuery)
-                shadow, sym = self._encode_insert(index, rid, query, encoded_attrs)
-                shadow_alive = True
-                alive = SymbolicValue.constant(1.0)
-                continue
-            if index in encoded_queries and not isinstance(query, InsertQuery):
-                alive = self._encode_step(index, rid, query, sym, shadow, alive, encoded_attrs)
-            shadow_alive = self._shadow_step(query, shadow, shadow_alive)
-
-        self._assign_final(rid, sym, alive, constrained_attrs)
+            if alive and index in encoded_queries and compiled.where(view):
+                if kind is UPDATE:
+                    targets = [
+                        (attribute, kernel(view))
+                        for attribute, kernel in compiled.sets
+                        if attribute in encoded_attrs
+                    ]
+                    for attribute, value in targets:
+                        folded[attribute] = view[attribute] = value
+                else:
+                    if not alive_deletes:
+                        for attribute in encoded_attrs:
+                            folded[attribute] = view[attribute] = sentinels[attribute]
+                    alive = 0.0
+            if shadow_alive and shadow and compiled.where(shadow):
+                if kind is UPDATE:
+                    written = [(attribute, kernel(shadow)) for attribute, kernel in compiled.sets]
+                else:
+                    written = [(attribute, sentinels[attribute]) for attribute in shadow]
+                    shadow_alive = False
+                for attribute, value in written:
+                    shadow[attribute] = value
+                    if attribute not in folded:
+                        view[attribute] = value
+        return folded, shadow, shadow_alive, alive
 
     # -- per-query symbolic steps -----------------------------------------------------------
 
     def _encode_insert(
-        self, index: int, rid: int, query: InsertQuery, encoded_attrs: frozenset[str]
+        self, index: int, rid: int, compiled: CompiledQuery, encoded_attrs: frozenset[str]
     ) -> tuple[dict[str, float], dict[str, SymbolicValue]]:
         parameterized = index in self.parameterized
         shadow: dict[str, float] = {}
         sym: dict[str, SymbolicValue] = {}
-        values = query.value_expressions()
+        values = compiled.query.value_expressions()
+        provided = compiled.values
         for attribute in self.schema.attribute_names:
             expr = values[attribute]
-            shadow[attribute] = expr.evaluate({})
+            shadow[attribute] = provided[attribute]
             if attribute not in encoded_attrs:
                 continue
             affine = expr.affine()
@@ -460,7 +542,7 @@ class LogEncoder:
         if isinstance(match, float) and match == 0.0:
             return alive
         for attribute in encoded_attrs:
-            sentinel = self._sentinel_for(attribute)
+            sentinel = self._sentinels[attribute]
             old = sym[attribute]
             if isinstance(match, float):
                 sym[attribute] = SymbolicValue.constant(sentinel)
@@ -589,7 +671,10 @@ class LogEncoder:
             comparison.right.affine(), values_view, params, self._param_bound_map()
         )
         if left.is_constant and right.is_constant:
-            return 1.0 if _evaluate_comparison(left.as_float(), comparison.op, right.as_float()) else 0.0
+            holds = COMPARE[comparison.op](
+                left.as_float(), right.as_float(), comparison.tolerance
+            )
+            return 1.0 if holds else 0.0
         binary = self._model.add_binary(self._fresh(f"q{index}_r{rid}_cmp"))
         big_m = max(
             abs(left.upper - right.lower), abs(right.upper - left.lower), 1.0
@@ -631,7 +716,7 @@ class LogEncoder:
             if should_exist:
                 value = target[attribute]
             else:
-                value = self._sentinel_for(attribute)
+                value = self._sentinels[attribute]
             self._pin(sym[attribute], value, f"r{rid}_{attribute}_final")
 
     def _assign_soft_final(
@@ -655,7 +740,7 @@ class LogEncoder:
         for attribute in sorted(constrained_attrs):
             if attribute not in sym:
                 continue
-            value = target[attribute] if should_exist else self._sentinel_for(attribute)
+            value = target[attribute] if should_exist else self._sentinels[attribute]
             symbolic = sym[attribute]
             if symbolic.is_constant:
                 if abs(symbolic.as_float() - value) > 1e-6:
@@ -694,25 +779,19 @@ class LogEncoder:
     # -- shadow (concrete dirty) replay --------------------------------------------------------------
 
     def _shadow_step(
-        self, query: Query, shadow: dict[str, float], shadow_alive: bool
+        self, compiled: CompiledQuery, shadow: dict[str, float], shadow_alive: bool
     ) -> bool:
         """Advance the concrete dirty-replay values of the tuple by one query."""
-        if not shadow_alive or not shadow:
+        if not shadow_alive or not shadow or compiled.kind is INSERT:
             return shadow_alive
-        if isinstance(query, UpdateQuery):
-            if query.where.evaluate(shadow):
-                new_values = {
-                    attribute: expr.evaluate(shadow) for attribute, expr in query.set_clause
-                }
-                shadow.update(new_values)
+        if not compiled.where(shadow):
             return True
-        if isinstance(query, DeleteQuery):
-            if query.where.evaluate(shadow):
-                for attribute in shadow:
-                    shadow[attribute] = self._sentinel_for(attribute)
-                return False
+        if compiled.kind is UPDATE:
+            shadow.update([(attribute, kernel(shadow)) for attribute, kernel in compiled.sets])
             return True
-        return shadow_alive
+        for attribute in shadow:
+            shadow[attribute] = self._sentinels[attribute]
+        return False
 
     # -- helpers ------------------------------------------------------------------------------------
 
@@ -736,10 +815,6 @@ class LogEncoder:
             self._param_bound_cache = cache
         return cache
 
-    def _sentinel_for(self, attribute: str) -> float:
-        spec = self.schema.spec(attribute)
-        return spec.upper + self._sentinel_gap
-
     def _fresh(self, prefix: str) -> str:
         return f"{prefix}#{next(self._name_counter)}"
 
@@ -757,16 +832,3 @@ class LogEncoder:
         terms.extend(self._objective_terms)
         self._model.set_objective(LinExpr.sum(terms))
 
-
-def _evaluate_comparison(lhs: float, op: str, rhs: float, tolerance: float = 1e-9) -> bool:
-    if op == "<=":
-        return lhs <= rhs + tolerance
-    if op == ">=":
-        return lhs >= rhs - tolerance
-    if op == "<":
-        return lhs < rhs - tolerance
-    if op == ">":
-        return lhs > rhs + tolerance
-    if op == "=":
-        return abs(lhs - rhs) <= tolerance
-    return abs(lhs - rhs) > tolerance

@@ -32,6 +32,7 @@ from repro.db.schema import Schema
 from repro.milp.solution import SolveStatus
 from repro.milp.solvers import Solver, get_solver, solve_with_warm_start
 from repro.obs import trace as obs
+from repro.queries.compiled import CompiledLog
 from repro.queries.log import QueryLog
 
 
@@ -99,7 +100,9 @@ class IncrementalRepairer:
             candidates = set(range(len(log)))
 
         encoded_attrs = None
-        if config.attribute_slicing:
+        # Without query slicing, the decompose branch below derives its own
+        # attribute set from the complaint-relevant candidates.
+        if config.attribute_slicing and (config.query_slicing or not config.decompose):
             encoded_attrs = relevant_attributes(
                 log, sorted(candidates), complaint_attrs, schema, impacts=impacts
             )
@@ -134,6 +137,9 @@ class IncrementalRepairer:
             encoded_attrs = target_attrs
 
         rids = complaints.rids if config.tuple_slicing else None
+        # One compiled log serves every window's encode and every replay of
+        # this diagnosis.
+        compiled = CompiledLog(schema)
 
         total_encode = 0.0
         total_solve = 0.0
@@ -167,6 +173,7 @@ class IncrementalRepairer:
                         if (config.query_slicing or config.decompose)
                         else None
                     ),
+                    compiled=compiled,
                 )
                 problem = encoder.encode()
                 encode_span.set_attribute("variables", problem.model.num_variables)
@@ -199,6 +206,7 @@ class IncrementalRepairer:
                 encode_seconds=total_encode,
                 solve_seconds=total_solve,
                 windows_tried=windows_tried,
+                compiled=compiled,
             )
             if not result.feasible:
                 continue
@@ -222,6 +230,7 @@ class IncrementalRepairer:
                     result,
                     config=config,
                     solver=self.solver,
+                    compiled=compiled,
                 )
             result.total_seconds = time.perf_counter() - start_time
             result.windows_tried = windows_tried

@@ -19,6 +19,7 @@ from repro.core.repair import RepairResult, build_repair_result
 from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.milp.solvers import Solver
+from repro.queries.compiled import CompiledLog
 from repro.queries.executor import replay
 from repro.queries.log import QueryLog
 
@@ -38,15 +39,17 @@ def affected_non_complaints(
     *,
     tolerance: float = 1e-6,
     repaired_state: Database | None = None,
+    compiled: CompiledLog | None = None,
 ) -> list[int]:
     """Non-complaint tuples whose values change under the repaired log (``NC``).
 
     ``repaired_state`` short-circuits the replay when the caller already holds
     ``replay(initial, repaired_log)`` (e.g. :attr:`RepairResult.repaired_state`
-    cached by the step-1 finalization).
+    cached by the step-1 finalization); otherwise the replay runs on
+    ``compiled``.
     """
     if repaired_state is None:
-        repaired_state = replay(initial, repaired_log)
+        repaired_state = replay(initial, repaired_log, compiled=compiled)
     affected = []
     rids = sorted(set(dirty.rids) | set(repaired_state.rids))
     for rid in rids:
@@ -74,16 +77,24 @@ def refine_repair(
     *,
     config: QFixConfig,
     solver: Solver,
+    compiled: CompiledLog | None = None,
 ) -> RepairResult:
-    """Run the refinement MILP; return the improved result (or ``step1`` unchanged)."""
+    """Run the refinement MILP; return the improved result (or ``step1`` unchanged).
+
+    ``compiled`` is the diagnosis's compiled log: the step-1 repair keeps
+    every untouched query by identity, so its kernels carry over.
+    """
     if not step1.feasible or not step1.changed_query_indices:
         return step1
+    if compiled is None:
+        compiled = CompiledLog(schema)
     nc_rids = affected_non_complaints(
         initial,
         final,
         step1.repaired_log,
         complaints,
         repaired_state=step1.repaired_state,
+        compiled=compiled,
     )
     if not nc_rids:
         return step1
@@ -105,6 +116,7 @@ def refine_repair(
         candidate_indices=None,
         soft_rids=soft,
         param_objective_weight=PARAM_WEIGHT,
+        compiled=compiled,
     )
     problem = encoder.encode()
     encode_seconds = time.perf_counter() - encode_start
@@ -122,6 +134,7 @@ def refine_repair(
         config=config,
         encode_seconds=encode_seconds,
         solve_seconds=solution.solve_seconds,
+        compiled=compiled,
     )
     if not refined.feasible:
         return step1

@@ -16,6 +16,7 @@ from repro.core.config import QFixConfig
 from repro.core.encoder import EncodedProblem
 from repro.db.database import Database
 from repro.milp.solution import Solution, SolveStatus
+from repro.queries.compiled import CompiledLog
 from repro.queries.executor import replay
 from repro.queries.log import QueryLog, changed_queries, log_distance
 
@@ -178,23 +179,26 @@ def _finalize_repair(
     complaints: ComplaintSet,
     *,
     config: QFixConfig,
+    compiled: CompiledLog | None = None,
 ) -> tuple[QueryLog, dict[str, float], Database | None]:
     """:func:`finalize_repair` plus the replayed state of the chosen log.
 
     The complaint-resolution check already replays the candidate log; the
     resulting :class:`Database` is returned so downstream passes (refinement,
     the incremental sanity check) never replay the same log twice.
+    ``compiled`` is the diagnosis's compiled log: the candidate logs share
+    every untouched query with ``original_log``, and with them its kernels.
     """
     rounded = extract_param_values(problem, solution, config=config)
     candidate = original_log.with_params(rounded)
     if not rounded:
         return candidate, rounded, None
-    candidate_state = replay(initial, candidate)
+    candidate_state = replay(initial, candidate, compiled=compiled)
     if not _complaints_resolved(candidate_state, complaints):
         raw = raw_param_values(problem, solution)
         if raw != rounded:
             fallback = original_log.with_params(raw)
-            fallback_state = replay(initial, fallback)
+            fallback_state = replay(initial, fallback, compiled=compiled)
             if _complaints_resolved(fallback_state, complaints):
                 return fallback, raw, fallback_state
     return candidate, rounded, candidate_state
@@ -211,8 +215,13 @@ def build_repair_result(
     encode_seconds: float,
     solve_seconds: float,
     windows_tried: int = 1,
+    compiled: CompiledLog | None = None,
 ) -> RepairResult:
-    """Assemble a :class:`RepairResult` from a solved encoding."""
+    """Assemble a :class:`RepairResult` from a solved encoding.
+
+    ``compiled`` is the diagnosis's compiled log, reused by the replays that
+    check the repair.
+    """
     if not solution.status.has_solution:
         return RepairResult(
             original_log=original_log,
@@ -227,7 +236,7 @@ def build_repair_result(
             message=solution.message,
         )
     repaired_log, values, repaired_state = _finalize_repair(
-        initial, original_log, problem, solution, complaints, config=config
+        initial, original_log, problem, solution, complaints, config=config, compiled=compiled
     )
     changed = tuple(changed_queries(original_log, repaired_log))
     distance = log_distance(original_log, repaired_log)

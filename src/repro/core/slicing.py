@@ -31,10 +31,7 @@ from typing import Sequence
 
 from repro.db.schema import Schema
 from repro.queries.log import QueryLog
-from repro.queries.query import InsertQuery, Query
-
-#: Wildcard used by DELETE queries to mean "all attributes".
-WILDCARD = "*"
+from repro.queries.query import WILDCARD, InsertQuery, Query
 
 
 def _expand(attributes: frozenset[str], schema: Schema) -> frozenset[str]:

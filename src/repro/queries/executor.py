@@ -3,13 +3,25 @@
 The executor is the reference semantics for the query model: the MILP encoder
 is correct exactly when, for any parameter assignment, the encoded constraints
 agree with what :func:`apply_query` computes.  The property-based tests in
-``tests/core/test_encoder_properties.py`` check precisely that agreement.
+``tests/properties/test_property_invariants.py`` check precisely that
+agreement.
 
-Point predicates (``attr = constant``) dominate the paper's workloads, so
-:func:`replay` maintains a :class:`_PointIndex` — a lazily built equality
-index over row values — that turns each point UPDATE/DELETE from a full table
-scan into a constant-time probe.  Matches are re-verified against the
-comparison's own tolerance, so indexed and scanned replays are value-identical.
+Queries run in compiled form (:mod:`repro.queries.compiled`): WHERE and SET
+clauses are float kernels that compute bit for bit what
+:meth:`Predicate.evaluate` and :meth:`Expr.evaluate` compute, in one to three
+Python calls per row for the common shapes instead of about ten.  A diagnosis passes
+its :class:`~repro.queries.compiled.CompiledLog` to :func:`replay`, so every
+replay of that diagnosis shares the kernels its encoder built; the queries
+the diagnosis never compiled are compiled for their one application.
+
+Point predicates (``attr = constant``) dominate the paper's workloads.  The
+compiled query recognizes that shape once, when it is first asked for it,
+not on every application; :func:`replay` then probes a :class:`_PointIndex`
+— a lazily built equality index over row values — instead of scanning the
+table, so a point UPDATE/DELETE costs a constant-time probe and its WHERE
+kernel is never built.  Probed matches are re-verified against the
+comparison's own tolerance, so indexed and scanned replays are
+value-identical.
 """
 
 from __future__ import annotations
@@ -20,10 +32,9 @@ from typing import Iterable
 from repro.db.database import Database
 from repro.db.table import Row
 from repro.exceptions import QueryModelError
-from repro.queries.expressions import Attr
+from repro.queries.compiled import INSERT, UPDATE, CompiledLog, CompiledQuery
 from repro.queries.log import QueryLog
-from repro.queries.predicates import Comparison, Predicate
-from repro.queries.query import DeleteQuery, InsertQuery, Query, UpdateQuery
+from repro.queries.query import Query
 
 
 def apply_query(
@@ -36,33 +47,34 @@ def apply_query(
     """Apply a single query to ``state`` and return the resulting state.
 
     By default the input state is left untouched and a snapshot is modified;
-    pass ``in_place=True`` to mutate ``state`` directly (used by
-    :func:`replay` to avoid quadratic copying).  ``index`` is the replay-local
-    point index; it must have been created over ``state`` itself.
+    pass ``in_place=True`` to mutate ``state`` directly.  ``index`` is a
+    replay-local point index; it must have been created over ``state`` itself.
     """
     result = state if in_place else state.snapshot()
     if index is not None and result is not state:
         index = None
-    if isinstance(query, UpdateQuery):
-        _apply_update(result, query, index)
-    elif isinstance(query, InsertQuery):
-        _apply_insert(result, query, index)
-    elif isinstance(query, DeleteQuery):
-        _apply_delete(result, query, index)
-    else:
-        raise QueryModelError(f"unsupported query type: {type(query).__name__}")
+    _apply(result, CompiledLog(result.schema).once(query), index)
     return result
 
 
-def replay(initial: Database, log: QueryLog | Iterable[Query]) -> Database:
+def replay(
+    initial: Database,
+    log: QueryLog | Iterable[Query],
+    *,
+    compiled: CompiledLog | None = None,
+) -> Database:
     """Replay a whole log starting from ``initial`` and return the final state.
 
-    ``initial`` is never modified.
+    ``initial`` is never modified.  ``compiled`` is the caller's compiled log
+    (one per diagnosis): queries it already holds replay on its kernels, the
+    rest are compiled for their one application and dropped.
     """
     state = initial.snapshot()
     index = _PointIndex(state)
+    if compiled is None:
+        compiled = CompiledLog(state.schema)
     for query in log:
-        apply_query(state, query, in_place=True, index=index)
+        _apply(state, compiled.once(query), index)
     return state
 
 
@@ -78,33 +90,14 @@ def replay_states(
     states = [initial.snapshot()]
     current = initial.snapshot()
     index = _PointIndex(current)
+    compiled = CompiledLog(current.schema)
     for query in log:
-        apply_query(current, query, in_place=True, index=index)
+        _apply(current, compiled.once(query), index)
         states.append(current.snapshot())
     return states
 
 
-# -- point predicate recognition and indexing ------------------------------------
-
-
-def _point_test(where: Predicate) -> "tuple[str, float, float] | None":
-    """``(attribute, value, tolerance)`` when ``where`` is ``attr = <constant>``.
-
-    Point predicates dominate the replay workloads (the paper's logs are
-    key-equality UPDATEs), and evaluating one through the generic expression
-    interpreter costs ~10 function calls per row.  Recognizing the shape once
-    per query application reduces the per-row check to a dict lookup and a
-    float compare; the tolerance is the comparison's own, so the outcome is
-    bit-identical to :meth:`Comparison.evaluate`.
-    """
-    if type(where) is not Comparison or where.op != "=":
-        return None
-    left, right = where.left, where.right
-    if not isinstance(left, Attr):
-        left, right = right, left
-    if not isinstance(left, Attr) or isinstance(right, Attr) or right.attributes():
-        return None
-    return left.name, right.evaluate({}), where.tolerance
+# -- point predicate indexing ------------------------------------------------------
 
 
 class _PointIndex:
@@ -178,49 +171,57 @@ class _PointIndex:
 # -- per-query-type semantics ---------------------------------------------------
 
 
+def _apply(state: Database, query: CompiledQuery, index: "_PointIndex | None") -> None:
+    if query.kind is UPDATE:
+        _apply_update(state, query, index)
+    elif query.kind is INSERT:
+        _apply_insert(state, query, index)
+    else:
+        _apply_delete(state, query, index)
+
+
 def _matched_rows(
-    state: Database, where: Predicate, index: "_PointIndex | None"
+    state: Database, query: CompiledQuery, index: "_PointIndex | None"
 ) -> list[Row]:
-    point = _point_test(where)
-    if point is not None:
-        if index is not None:
+    if index is not None:
+        point = query.point
+        if point is not None:
             rows = index.probe(*point)
             if rows is not None:
                 return rows
-        name, value, tolerance = point
-        return [
-            row for row in state.rows() if abs(row.values[name] - value) <= tolerance
-        ]
-    return [row for row in state.rows() if where.evaluate(row.values)]
+    where = query.where
+    return [row for row in state.rows() if where(row.values)]
 
 
 def _apply_update(
-    state: Database, query: UpdateQuery, index: "_PointIndex | None" = None
+    state: Database, query: CompiledQuery, index: "_PointIndex | None"
 ) -> None:
-    for row in _matched_rows(state, query.where, index):
+    rows = _matched_rows(state, query, index)
+    if not rows:
+        return
+    sets = query.sets_for(len(rows))
+    for row in rows:
         # Evaluate every SET expression against the *pre-update* values so
         # that, e.g., ``SET a = b, b = a`` swaps rather than copies.
-        new_values = {
-            attribute: expr.evaluate(row.values)
-            for attribute, expr in query.set_clause
-        }
-        for attribute, value in new_values.items():
+        values = row.values
+        new_values = [(attribute, kernel(values)) for attribute, kernel in sets]
+        for attribute, value in new_values:
             if index is not None:
-                index.note_update(row.rid, attribute, row.values[attribute], value)
+                index.note_update(row.rid, attribute, values[attribute], value)
             row[attribute] = value
 
 
 def _apply_insert(
-    state: Database, query: InsertQuery, index: "_PointIndex | None" = None
+    state: Database, query: CompiledQuery, index: "_PointIndex | None"
 ) -> None:
-    provided = query.value_expressions()
+    provided = query.values
     values = {}
     for attribute in state.schema.attribute_names:
         if attribute in provided:
-            values[attribute] = provided[attribute].evaluate({})
+            values[attribute] = provided[attribute]
         else:
             raise QueryModelError(
-                f"INSERT into '{query.table}' missing value for attribute '{attribute}'"
+                f"INSERT into '{query.query.table}' missing value for attribute '{attribute}'"
             )
     row = state.insert(values)
     if index is not None:
@@ -228,9 +229,9 @@ def _apply_insert(
 
 
 def _apply_delete(
-    state: Database, query: DeleteQuery, index: "_PointIndex | None" = None
+    state: Database, query: CompiledQuery, index: "_PointIndex | None"
 ) -> None:
-    doomed = _matched_rows(state, query.where, index)
+    doomed = _matched_rows(state, query, index)
     for row in doomed:
         if index is not None:
             index.note_delete(row.rid, dict(row.values))

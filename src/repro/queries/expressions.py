@@ -55,13 +55,23 @@ class Expr:
         raise NotImplementedError
 
     def affine(self) -> "Affine":
-        """Memoized affine form (expressions are immutable, so caching is safe)."""
-        cached = _AFFINE_CACHE.get(id(self))
-        if cached is not None and cached[0] is self:
-            return cached[1]
-        affine = self.to_affine()
-        _AFFINE_CACHE[id(self)] = (self, affine)
-        return affine
+        """Memoized affine form (expressions are immutable, so caching is safe).
+
+        The memo lives on the instance and dies with it.  It is not a
+        dataclass field, so equality, hashing and ``repr`` ignore it, and
+        :meth:`__getstate__` leaves it out of pickles.
+        """
+        try:
+            return self._affine  # type: ignore[attr-defined]
+        except AttributeError:
+            affine = self.to_affine()
+            object.__setattr__(self, "_affine", affine)
+            return affine
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_affine", None)
+        return state
 
     def evaluate(
         self,
@@ -270,12 +280,6 @@ class Affine:
             if name in mapping:
                 values[name] = float(mapping[name])
         return Affine(dict(self.attr_coeffs), dict(self.param_coeffs), values, self.constant)
-
-
-#: Memo for :meth:`Expr.affine`, keyed by object identity.  The expression
-#: object itself is stored alongside the result so that a recycled ``id`` can
-#: never serve a stale entry.
-_AFFINE_CACHE: Dict[int, tuple[Expr, "Affine"]] = {}
 
 
 def _wrap(value: "Expr | float | int") -> Expr:

@@ -21,6 +21,9 @@ from repro.queries.expressions import (
 )
 from repro.queries.predicates import Predicate, TruePredicate
 
+#: What a DELETE reports as its direct impact: every attribute of the tuple.
+WILDCARD = "*"
+
 
 @dataclass(frozen=True)
 class Query:
@@ -229,7 +232,7 @@ class DeleteQuery(Query):
 
     def direct_impact(self) -> frozenset[str]:
         # Deleting a tuple affects every attribute of that tuple.
-        return frozenset(self.where.attributes()) | frozenset({"*"})
+        return frozenset(self.where.attributes()) | frozenset({WILDCARD})
 
     def dependency(self) -> frozenset[str]:
         return frozenset(self.where.attributes())

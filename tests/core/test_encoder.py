@@ -6,7 +6,9 @@ import pytest
 from repro.core.complaints import Complaint, ComplaintSet
 from repro.core.config import QFixConfig
 from repro.core.encoder import LogEncoder
-from repro.core.repair import finalize_repair
+from repro.core.basic import BasicRepairer
+from repro.core.incremental import IncrementalRepairer
+from repro.core.repair import finalize_repair, repair_resolves_complaints
 from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.milp.solvers import get_solver
@@ -183,6 +185,45 @@ class TestEncoderBookkeeping:
         problem = encoder.encode()
         assert problem.trivially_infeasible
         assert not SOLVER.solve(problem.model).status.has_solution
+
+
+class TestComparisonTolerance:
+    """Constant folding honours each comparison's own tolerance, like replay."""
+
+    @pytest.fixture()
+    def case(self, schema):
+        initial = Database(schema, [{"a": 5.3, "b": 0.0}, {"a": 50.0, "b": 0.0}])
+        # Row 0 matches ``a = 5`` only through the comparison's 0.5 tolerance;
+        # folding it with a fixed 1e-9 missed the match, so the encoding
+        # believed b was still 0 when q1 ran.
+        log = QueryLog(
+            [
+                UpdateQuery("t", {"b": Const(1.0)}, Comparison(Attr("a"), "=", Const(5.0), 0.5)),
+                UpdateQuery(
+                    "t",
+                    {"b": Attr("b") + Param("q1_p", 10.0)},
+                    Comparison(Attr("a"), "<=", Const(10.0)),
+                ),
+            ]
+        )
+        dirty = replay(initial, log)
+        complaints = ComplaintSet([Complaint(0, {"a": 5.3, "b": 21.0})])
+        return initial, dirty, log, complaints
+
+    @pytest.mark.parametrize(
+        "repairer",
+        [
+            lambda: IncrementalRepairer(QFixConfig.fully_optimized()),
+            lambda: BasicRepairer(QFixConfig.basic()),
+        ],
+        ids=["incremental", "basic"],
+    )
+    def test_both_diagnosers_repair_through_a_tolerant_match(self, schema, case, repairer):
+        initial, dirty, log, complaints = case
+        result = repairer().repair(schema, initial, dirty, log, complaints)
+        assert result.feasible
+        assert result.parameter_values == {"q1_p": 20.0}
+        assert repair_resolves_complaints(initial, result.repaired_log, complaints)
 
 
 class TestSolutionHint:
