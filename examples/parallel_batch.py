@@ -5,14 +5,14 @@ The engine's batch path is executor-pluggable (:mod:`repro.parallel`):
 * ``serial`` — inline, the baseline;
 * ``thread`` — the default thread pool, fine when solves release the GIL
   (the native HiGHS backend does);
-* ``process`` — shard-affine worker processes, the strategy that actually
+* ``process`` — load-balanced worker processes, the strategy that actually
   uses every core when the solver is pure Python (branch-and-bound).
 
 This example builds a 24-request batch (6 scenarios x 4 repeats — repeats
-are what make the shard-affine warm caching visible), runs it through all
-three strategies, checks the diagnoses agree, and streams one batch with
-:meth:`DiagnosisEngine.diagnose_stream` to show results arriving as they
-complete under a bounded in-flight window.
+reach the warm-start cache of their key's worker when it is free), runs it
+through all three strategies, checks the diagnoses agree, and streams one
+batch with :meth:`DiagnosisEngine.diagnose_stream` to show results arriving
+as they complete under a bounded in-flight window.
 
 Run from the repository root::
 

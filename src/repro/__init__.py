@@ -11,7 +11,7 @@ The public API re-exports the pieces most users need: the relational substrate
 (:mod:`repro.core`), the service layer (:mod:`repro.service` — sessions,
 batched diagnosis, serializable request/response types), the execution tier
 (:mod:`repro.parallel` — serial / thread / process strategies with
-shard-affine warm caching and streaming backpressure), the HTTP serving
+load-balanced worker shards and streaming backpressure), the HTTP serving
 layer (:mod:`repro.server` — threaded stdlib server, session store, typed
 client, telemetry), the decision-tree baseline (:mod:`repro.baselines`), the
 workload generators (:mod:`repro.workload`), the experiment harness

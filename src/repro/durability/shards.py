@@ -10,14 +10,16 @@ Two routers with different contracts live here:
   through BLAKE2 instead.  Virtual nodes keep the key space spread evenly,
   and growing the shard count moves only ~1/N of the keys — the property
   that makes a future "add a shard, drain its neighbours" rebalance cheap.
-* :class:`FirstSeenRouter` — the **first-seen round-robin affinity** map the
-  process executor has used since the parallel tier landed, now shared from
-  here.  It optimizes *cache* placement, not persistence: the first request
-  with a new key picks the next shard in rotation (perfectly balanced for
-  any key set), and repeats stick to it so warm per-worker LRUs keep
-  hitting.  The map is bounded; evicting an old key merely costs its next
-  request a cold solve.  Deliberately *not* stable across restarts — warm
-  caches die with the process anyway.
+* :class:`FirstSeenRouter` — the **first-seen round-robin affinity** map
+  that gives each process-executor request its affine shard.  It optimizes
+  *cache* placement, not persistence: the first request with a new key
+  picks the next shard in rotation (an equal number of keys per shard for
+  any key set — not equal work, since keys differ in cost and in how often
+  they repeat), and repeats stick to it so warm per-worker LRUs keep
+  hitting.  The process executor overrides it by load when the affine shard
+  is busier than another.  The map is bounded; evicting an old key merely
+  costs its next request a cold solve.  Deliberately *not* stable across
+  restarts — warm caches die with the process anyway.
 """
 
 from __future__ import annotations
@@ -99,10 +101,12 @@ class FirstSeenRouter:
     """First-seen round-robin shard affinity for arbitrary hashable keys.
 
     Deterministic (unlike ``hash()``, which ``PYTHONHASHSEED`` randomizes)
-    and balanced (k distinct keys spread k/n per shard instead of
-    binomially).  Bounded so a key-churning workload cannot grow the map
-    without limit — evicting an old key merely costs its next request a cold
-    cache.  Thread-safe.
+    and balanced by key count (k distinct keys spread k/n per shard instead
+    of binomially).  That is not balance of work: keys differ in cost and in
+    how often they repeat, so callers that care about load (the process
+    executor) weigh it themselves.  Bounded so a key-churning workload
+    cannot grow the map without limit — evicting an old key merely costs its
+    next request a cold cache.  Thread-safe.
     """
 
     def __init__(self, shards: int, *, max_keys: int = 4096) -> None:

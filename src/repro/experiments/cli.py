@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "batch/harness/serve mode: execution strategy — 'serial' runs "
             "inline, 'thread' uses a thread pool (fine for the native HiGHS "
-            "backend), 'process' fans out over shard-affine worker processes "
+            "backend), 'process' fans out over load-balanced worker processes "
             "(use for the CPU-bound branch-and-bound backend, where threads "
             "serialize on the GIL); serve mode applies it to the engine "
             "behind /v1/batch"

@@ -11,11 +11,12 @@ and the hardware.  The engine describes *what* to diagnose; an
     native scipy code); loses on the CPU-bound pure-Python branch-and-bound
     backend, where threads serialize on the GIL.
 ``process``
-    Shard-affine worker processes (:mod:`repro.parallel.process`): requests
-    are routed by (diagnoser, config, log-fingerprint) so repeats land on the
-    worker whose warm-start LRU already holds their previous solution, and a
-    crashing worker takes down only its own shard — in-flight neighbours are
-    retried on a rebuilt pool.
+    Load-balanced worker processes (:mod:`repro.parallel.process`): each
+    request goes to the shard with the fewest requests in flight, and among
+    equally busy shards to the one its (diagnoser, config, log-fingerprint)
+    key is affine to, whose warm-start LRU holds the key's previous
+    solution; a crashing worker takes down only its own shard — in-flight
+    neighbours are retried on a rebuilt pool.
 
 All three are driven by one streaming scheduler
 (:func:`~repro.parallel.scheduler.stream_batch`): a bounded in-flight window

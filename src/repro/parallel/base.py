@@ -12,7 +12,8 @@ The moving parts:
 
 * :class:`BatchItem` — one request as the *scheduler* sees it: the live
   :class:`~repro.service.types.DiagnosisRequest` plus its input position,
-  shard key, and warm-start hint.  Local strategies execute it directly.
+  shard key, warm-start hint, and the shard it was submitted to.  Local
+  strategies execute it directly.
 * :class:`WorkUnit` — the picklable envelope the *process* strategy ships to
   a worker: the serialized request payload (JSON-native, via
   ``DiagnosisRequest.to_dict``), the engine's default config payload being
@@ -48,9 +49,12 @@ class BatchItem:
     index: int
     #: The live request object (local strategies execute it directly).
     request: "DiagnosisRequest"
-    #: Routing key: requests with equal keys land on the same process shard,
-    #: so a repeat diagnosis reuses that worker's local warm-start LRU.
+    #: Routing key: requests with equal keys share an affine process shard,
+    #: so a repeat diagnosis reuses that worker's local warm-start LRU unless
+    #: another shard has fewer units in flight.
     shard_key: Hashable = None
+    #: The shard the process strategy actually submitted the item to.
+    shard: int | None = None
     #: Warm-start hint from the parent engine's cache, forwarded to workers.
     warm_hint: dict[str, float] | None = None
     #: Submission attempts so far (bounded retry after a worker crash).

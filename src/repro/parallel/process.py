@@ -1,4 +1,4 @@
-"""The ``process`` execution strategy: shard-affine worker processes.
+"""The ``process`` execution strategy: load-balanced, key-affine worker processes.
 
 Why processes: the branch-and-bound MILP backend is pure Python, so a
 CPU-bound batch on threads serializes on the GIL and throughput stays
@@ -6,14 +6,18 @@ single-core no matter the pool width.  Worker *processes* sidestep the GIL —
 each solves on its own core — at the price of pickling the work across the
 boundary.
 
-Why shard-affine: a plain :class:`ProcessPoolExecutor` hands work to whichever
-worker is free, so a repeat diagnosis almost never lands on the worker that
-solved it last time and every warm-start LRU stays cold.  This strategy
-instead keeps **one single-worker pool per shard** and routes every
-:class:`~repro.parallel.base.BatchItem` by its shard key — the same
-(diagnoser, config, log fingerprint) triple the engine's warm cache is keyed
-by — so identical re-solves always reach the same worker and hit its local
-warm LRU.
+Routing: the strategy keeps **one single-worker pool per shard** and counts
+the units each shard has in flight, from submit until the unit's future
+completes.  Each :class:`~repro.parallel.base.BatchItem` has an *affine*
+shard, picked by its shard key — the same (diagnoser, config, log
+fingerprint) triple the engine's warm cache is keyed by — so a repeat
+diagnosis goes back to the worker whose local warm LRU solved it last time
+whenever that worker is no busier than the others.  Where load and affinity
+conflict, load wins: a unit goes to the shard with the fewest units in
+flight, so a batch whose expensive keys all landed on one shard still keeps
+every core busy.  A warm repeat saves little next to a queue — the
+branch-and-bound search explores the same nodes warm or cold.  The shard a
+unit was actually submitted to is recorded on its batch item.
 
 Worker lifecycle and crash isolation:
 
@@ -25,8 +29,8 @@ Worker lifecycle and crash isolation:
   pickle, e.g. a custom diagnoser's exotic ``result``, are returned with the
   in-process ``result`` stripped rather than poisoning the channel);
 * a worker crash (hard exit, OOM kill) breaks only its own shard's pool: the
-  scheduler retries the broken shard's in-flight units once on a rebuilt
-  pool, so innocent neighbours of a poisoned request survive, while the
+  scheduler rebuilds the pool the units ran on and retries its in-flight
+  units once, so innocent neighbours of a poisoned request survive, while the
   poisoned request itself fails cleanly on its second crash.
 
 On a single-core machine process fan-out cannot win (there is no second core
@@ -145,7 +149,8 @@ def _run_unit(unit: WorkUnit) -> "DiagnosisResponse":
 
 
 class ProcessExecutor(Executor):
-    """Shard-affine process fan-out (one single-worker pool per shard)."""
+    """Process fan-out over one single-worker pool per shard, routed by load
+    first and by key affinity second."""
 
     name = "process"
     uses_shard_routing = True
@@ -165,9 +170,12 @@ class ProcessExecutor(Executor):
         self._pools: list[ProcessPoolExecutor | None] = [None] * max_workers
         self._pools_lock = threading.Lock()
         self._config_payload: dict[str, Any] | None = None
-        # First-seen round-robin shard assignment, shared with the durable
+        # First-seen round-robin affine shards, shared with the durable
         # session tier (see repro.durability.shards for why not hash()).
         self._router = FirstSeenRouter(max_workers)
+        # Units submitted to each shard whose futures have not completed.
+        self._inflight = [0] * max_workers
+        self._inflight_lock = threading.Lock()
 
     def bind(self, engine: "Any") -> "ProcessExecutor":
         super().bind(engine)
@@ -179,10 +187,30 @@ class ProcessExecutor(Executor):
     # -- shard pools ---------------------------------------------------------------
 
     def _shard_for(self, item: BatchItem) -> int:
+        """``item``'s affine shard, unless another shard has fewer in flight."""
         key = item.shard_key
         if key is None:
-            return item.index % self.max_workers
-        return self._router.shard_for(key)
+            affine = item.index % self.max_workers
+        else:
+            affine = self._router.shard_for(key)
+        load = self._inflight
+        least = min(range(self.max_workers), key=load.__getitem__)
+        return least if load[least] < load[affine] else affine
+
+    def _claim(self, item: BatchItem) -> int:
+        """Route ``item`` and count it in flight on the chosen shard."""
+        with self._inflight_lock:
+            shard = self._shard_for(item)
+            self._inflight[shard] += 1
+        item.shard = shard
+        return shard
+
+    def _release(self, shard: int) -> None:
+        # A done callback: it runs just after the future's waiters wake, so
+        # a submit racing it may still count the unit; that costs balance
+        # for one routing decision, never a result.
+        with self._inflight_lock:
+            self._inflight[shard] -= 1
 
     def _pool(self, shard: int) -> ProcessPoolExecutor:
         with self._pools_lock:
@@ -211,7 +239,6 @@ class ProcessExecutor(Executor):
         if self._fallback:
             with obs.attached(item.trace):
                 return self._completed(self.engine.submit(item.request))
-        shard = self._shard_for(item)
         trace_context = (
             {
                 "trace_id": item.trace.trace_id,
@@ -221,17 +248,21 @@ class ProcessExecutor(Executor):
             else None
         )
         try:
-            unit = WorkUnit(
-                index=item.index,
-                request_id=item.request_id,
-                payload=item.request.to_dict(),
-                shard=shard,
-                warm_hint=item.warm_hint,
-                trace_context=trace_context,
-            )
+            payload = item.request.to_dict()
         except Exception as error:  # noqa: BLE001 - unserializable request
             return self._failed(error)
-        if item.attempts > 1:
+        retry = item.attempts > 1
+        # A crash retry runs quarantined (below), on no shard's pool.
+        shard = item.shard if retry else self._claim(item)
+        unit = WorkUnit(
+            index=item.index,
+            request_id=item.request_id,
+            payload=payload,
+            shard=shard,
+            warm_hint=item.warm_hint,
+            trace_context=trace_context,
+        )
+        if retry:
             # Crash retry: quarantine it on a throwaway single-use pool.  A
             # poisoned request that crashed its shard would otherwise crash
             # the rebuilt pool too, taking its innocent (retried) neighbours
@@ -245,6 +276,15 @@ class ProcessExecutor(Executor):
             future.add_done_callback(lambda _: quarantine.shutdown(wait=False))
             return future
         try:
+            future = self._submit_to(shard, unit)
+        except BaseException:
+            self._release(shard)
+            raise
+        future.add_done_callback(lambda _: self._release(shard))
+        return future
+
+    def _submit_to(self, shard: int, unit: WorkUnit) -> "Future[DiagnosisResponse]":
+        try:
             return self._pool(shard).submit(_run_unit, unit)
         except BrokenProcessPool:
             # The pool broke between batches (a worker died idle); rebuild
@@ -256,9 +296,10 @@ class ProcessExecutor(Executor):
         if not isinstance(error, BrokenProcessPool):
             return False
         if item.attempts == 1:
-            # The crash broke the item's shard pool; rebuild it so retries
-            # and everything queued behind them land on a fresh worker.
-            self._discard_pool(self._shard_for(item))
+            # The crash broke the pool the item was submitted to (which load
+            # routing may have chosen over its affine shard); rebuild it so
+            # retries and everything queued behind them land on a fresh worker.
+            self._discard_pool(item.shard)
         # attempts >= 2 means the crash happened on the item's *quarantine*
         # pool — the shard pool was already rebuilt and may be serving
         # innocent fresh units, so it must not be torn down again.

@@ -20,9 +20,9 @@ solver wiring and exposes three call shapes:
 
 Where the work actually runs is pluggable (:mod:`repro.parallel`): the
 ``executor`` argument selects ``serial`` (inline), ``thread`` (the historical
-thread pool — fine when solves release the GIL), or ``process`` (shard-affine
-worker processes for the CPU-bound pure-Python solver, where threads would
-serialize on the GIL).
+thread pool — fine when solves release the GIL), or ``process``
+(load-balanced worker processes for the CPU-bound pure-Python solver, where
+threads would serialize on the GIL).
 """
 
 from __future__ import annotations

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
+import threading
 import warnings
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -186,6 +190,94 @@ def test_shard_routing_is_affine_and_balanced(scenario_pool, make_request):
         assert len({shards[i] for i in range(offset, 16, 4)}) == 1
     # ...and distinct keys spread round-robin across shards.
     assert sorted({shards[i] for i in range(4)}) == [0, 1]
+    executor.close()
+
+
+class _StubPool:
+    """A shard pool whose futures resolve only when the test says so."""
+
+    def __init__(self) -> None:
+        self.units: list = []
+        self.shut_down = False
+
+    def submit(self, fn, unit):
+        self.units.append(unit)
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+def test_load_routing_diverts_from_a_busy_affine_shard(scenario_pool, make_request):
+    executor = ProcessExecutor(2, force=True)
+    pools = [_StubPool(), _StubPool()]
+    executor._pools = list(pools)
+    executor._router.shard_for("first-seen")  # deals "hot" the affine shard 1
+    request = make_request(scenario_pool[0], "hot")
+
+    def item(index):
+        return BatchItem(index=index, request=request, shard_key="hot")
+
+    first = item(0)
+    first_future = executor.submit(first)
+    assert first.shard == 1
+    # The affine shard has a unit in flight and shard 0 is idle: divert.
+    second = item(1)
+    second_future = executor.submit(second)
+    assert second.shard == 0
+    assert [unit.index for unit in pools[1].units] == [0]
+    assert [unit.index for unit in pools[0].units] == [1]
+
+    # Once the affine shard drains, the key goes back to it...
+    first_future.set_result(None)
+    third = item(2)
+    third_future = executor.submit(third)
+    assert third.shard == 1
+    # ...and with one unit in flight on each shard it keeps the affine
+    # shard rather than the lowest-numbered one.
+    fourth = item(3)
+    fourth_future = executor.submit(fourth)
+    assert fourth.shard == 1
+
+    # The diverted unit dies with its worker once the affine shard is idle
+    # again: the pool it ran on is the one discarded, not the pool routing
+    # would pick for its key now.
+    third_future.set_result(None)
+    fourth_future.set_result(None)
+    crash = BrokenProcessPool("worker died")
+    second_future.set_exception(crash)
+    assert executor.retryable(second, crash)
+    assert pools[0].shut_down and executor._pools[0] is None
+    assert not pools[1].shut_down and executor._pools[1] is pools[1]
+    executor.close()
+
+
+def test_inflight_counts_survive_concurrent_submits_and_completions(
+    scenario_pool, make_request
+):
+    executor = ProcessExecutor(2, force=True)
+    executor._pools = [_StubPool(), _StubPool()]
+    request = make_request(scenario_pool[0], "stress")
+
+    def hammer(thread: int) -> None:
+        for index in range(150):
+            item = BatchItem(index=index, request=request, shard_key=f"k{thread % 3}")
+            executor.submit(item).set_result(None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # Every completion was counted off the shard it was counted onto.
+    assert executor._inflight == [0, 0]
+    assert sum(len(pool.units) for pool in executor._pools) == 8 * 150
     executor.close()
 
 
