@@ -50,7 +50,7 @@ from repro.milp.linearize import (
     add_conjunction,
     add_disjunction,
 )
-from repro.milp.model import Model
+from repro.milp.model import EQ, GE, LE, Model, difference
 from repro.milp.variables import Variable
 from repro.queries.compiled import COMPARE, INSERT, UPDATE, CompiledLog, CompiledQuery
 from repro.queries.log import QueryLog
@@ -376,8 +376,8 @@ class LogEncoder:
         attributes' values, the shadow values, whether the shadow tuple is
         alive, and the encoded liveness (1.0 or 0.0).
 
-        ``view`` is what :meth:`_values_view` would build — shadow values
-        overlaid with the encoded ones — kept current as either changes.
+        ``view`` holds the shadow values overlaid with the encoded ones (how
+        the symbolic walk reads an attribute), kept current as either changes.
         """
         if born_at == -1:
             row = self.initial.get(rid)
@@ -488,7 +488,6 @@ class LogEncoder:
         if isinstance(match, float) and match == 0.0:
             return
         parameterized = index in self.parameterized
-        values_view = self._values_view(sym, shadow)
         # Evaluate every SET expression against the pre-update state.
         targets: dict[str, SymbolicValue] = {}
         for attribute, expr in query.set_clause:
@@ -497,9 +496,10 @@ class LogEncoder:
             affine = expr.affine()
             targets[attribute] = affine_to_symbolic(
                 affine,
-                values_view,
+                sym,
                 self._param_vars if parameterized else {},
                 self._param_bound_map(),
+                shadow,
             )
         for attribute, target in targets.items():
             old = sym[attribute]
@@ -662,13 +662,12 @@ class LogEncoder:
         shadow: Mapping[str, float],
     ) -> "float | Variable":
         parameterized = index in self.parameterized
-        values_view = self._values_view(sym, shadow)
         params = self._param_vars if parameterized else {}
         left = affine_to_symbolic(
-            comparison.left.affine(), values_view, params, self._param_bound_map()
+            comparison.left.affine(), sym, params, self._param_bound_map(), shadow
         )
         right = affine_to_symbolic(
-            comparison.right.affine(), values_view, params, self._param_bound_map()
+            comparison.right.affine(), sym, params, self._param_bound_map(), shadow
         )
         if left.is_constant and right.is_constant:
             holds = COMPARE[comparison.op](
@@ -747,9 +746,15 @@ class LogEncoder:
                     self._model.add_ge(violation, 1.0, self._fresh("soft_forced"))
                 continue
             bound = max(abs(symbolic.upper - value), abs(symbolic.lower - value), 1.0)
-            diff = as_linexpr(symbolic.as_expr()) - value
-            self._model.add_le(diff, violation * bound, self._fresh("soft_ub"))
-            self._model.add_ge(diff, violation * -bound, self._fresh("soft_lb"))
+            expr = symbolic.as_expr()
+            assert isinstance(expr, LinExpr)
+            # diff = expr - value; diff <= violation * bound; diff >= violation * -bound
+            constant = expr.constant + -float(value)
+            for sense, scale, label in ((LE, bound, "soft_ub"), (GE, -bound, "soft_lb")):
+                terms, rhs = difference(
+                    expr.terms, constant, {violation: 1.0 * scale}, 0.0 * scale
+                )
+                self._model._add_row(terms, sense, rhs, self._fresh(label))
         self._objective_terms.append(as_linexpr(violation) * weight)
 
     def _target_for(
@@ -774,7 +779,10 @@ class LogEncoder:
                 self._trivially_infeasible = True
                 self._model.add_equal(LinExpr(), 1.0, self._fresh(f"{name}_contradiction"))
             return
-        self._model.add_equal(symbolic.as_expr(), value, self._fresh(name))
+        expr = symbolic.as_expr()
+        assert isinstance(expr, LinExpr)
+        terms, rhs = difference(expr.terms, expr.constant, {}, float(value))
+        self._model._add_row(terms, EQ, rhs, self._fresh(name))
 
     # -- shadow (concrete dirty) replay --------------------------------------------------------------
 
@@ -794,14 +802,6 @@ class LogEncoder:
         return False
 
     # -- helpers ------------------------------------------------------------------------------------
-
-    def _values_view(
-        self, sym: Mapping[str, SymbolicValue], shadow: Mapping[str, float]
-    ) -> dict[str, SymbolicValue]:
-        """Merge symbolic values (encoded attributes) with shadow constants."""
-        view = {name: SymbolicValue.constant(value) for name, value in shadow.items()}
-        view.update(sym)
-        return view
 
     def _param_bound_map(self) -> dict[str, tuple[float, float]]:
         # Every parameter shares the schema-wide (lower, upper) pair, and

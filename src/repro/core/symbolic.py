@@ -14,18 +14,23 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.exceptions import ModelError
-from repro.milp.expr import LinExpr, as_linexpr
+from repro.milp.expr import LinExpr, accumulate, as_linexpr
 from repro.milp.variables import Variable
 from repro.queries.expressions import Affine
 
 
-@dataclass
+@dataclass(slots=True)
 class SymbolicValue:
     """A value that is either a known constant or a bounded linear expression.
 
     ``expr`` is a float for constants, otherwise a :class:`LinExpr` (or a
     :class:`Variable`).  ``lower`` / ``upper`` are interval bounds that hold
     for every feasible assignment — they size the big-M constants.
+
+    The arithmetic below is exact to the float: every result carries the
+    float operations (in order, including the sign of every zero) that the
+    same sums and products of ``LinExpr`` objects would perform, but builds
+    one term dict per result instead of one expression per step.
     """
 
     expr: "float | LinExpr | Variable"
@@ -71,34 +76,34 @@ class SymbolicValue:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def add(self, other: "SymbolicValue") -> "SymbolicValue":
-        """Sum of two symbolic values (bounds add)."""
-        if self.is_constant and other.is_constant:
-            return SymbolicValue.constant(self.as_float() + other.as_float())
-        expr = _to_expr(self.expr) + _to_expr(other.expr)
-        return SymbolicValue(expr, self.lower + other.lower, self.upper + other.upper)
-
-    def scale(self, factor: float) -> "SymbolicValue":
-        """Scalar multiple of a symbolic value (bounds scale and may swap)."""
-        if self.is_constant:
-            return SymbolicValue.constant(self.as_float() * factor)
-        expr = _to_expr(self.expr) * factor
-        bounds = sorted((self.lower * factor, self.upper * factor))
-        return SymbolicValue(expr, bounds[0], bounds[1])
-
     def subtract(self, other: "SymbolicValue") -> "SymbolicValue":
-        """Difference of two symbolic values."""
-        return self.add(other.scale(-1.0))
+        """Difference of two symbolic values: ``self + other * -1.0``.
 
-    def widen(self, lower: float, upper: float) -> "SymbolicValue":
-        """Return the same value with bounds widened to include [lower, upper]."""
-        return SymbolicValue(self.expr, min(self.lower, lower), max(self.upper, upper))
+        Bounds add, with ``other``'s scaled bounds sorted (a constant's
+        bounds are its value).
+        """
+        if self.is_constant and other.is_constant:
+            return SymbolicValue.constant(self.expr + other.expr * -1.0)  # type: ignore[operator]
+        if isinstance(self.expr, float):
+            terms: dict[Variable, float] = {}
+            constant = self.expr
+        else:
+            terms = dict(self.expr.terms)  # type: ignore[union-attr]
+            constant = self.expr.constant  # type: ignore[union-attr]
+        if isinstance(other.expr, float):
+            low = high = other.expr * -1.0
+            constant += low
+        else:
+            accumulate(terms, other.expr.terms, -1.0)  # type: ignore[union-attr]
+            constant += other.expr.constant * -1.0  # type: ignore[union-attr]
+            low, high = _scaled_bounds(other.lower, other.upper, -1.0)
+        return SymbolicValue(LinExpr._of(terms, constant), self.lower + low, self.upper + high)
 
 
-def _to_expr(value: "float | LinExpr") -> LinExpr:
-    if isinstance(value, LinExpr):
-        return value
-    return LinExpr.from_constant(value)
+def _scaled_bounds(lower: float, upper: float, factor: float) -> tuple[float, float]:
+    """``sorted((lower * factor, upper * factor))``."""
+    low, high = lower * factor, upper * factor
+    return (high, low) if high < low else (low, high)
 
 
 def affine_to_symbolic(
@@ -106,29 +111,63 @@ def affine_to_symbolic(
     attribute_values: Mapping[str, SymbolicValue],
     param_variables: Mapping[str, Variable],
     param_bounds: Mapping[str, tuple[float, float]],
+    constants: Mapping[str, float] | None = None,
 ) -> SymbolicValue:
     """Instantiate an :class:`~repro.queries.expressions.Affine` form.
 
     Attribute references are substituted with the tuple's current symbolic
-    values; parameters become decision variables when the owning query is
-    parameterized (present in ``param_variables``) and plain numbers otherwise.
+    values — from ``attribute_values``, else the plain floats of
+    ``constants`` (the tuple's concrete shadow values); parameters become
+    decision variables when the owning query is parameterized (present in
+    ``param_variables``) and plain numbers otherwise.
+
+    The result is ``constant(affine.constant)`` plus each term scaled by its
+    coefficient, summed left to right: one term dict and one constant are
+    accumulated with the float operations of that chain of sums.
     """
-    result = SymbolicValue.constant(affine.constant)
+    constant = lower = upper = float(affine.constant)
+    terms: dict[Variable, float] | None = None
     for name, coeff in affine.attr_coeffs.items():
         if coeff == 0.0:
             continue
-        try:
-            value = attribute_values[name]
-        except KeyError:
-            raise ModelError(f"no symbolic value available for attribute '{name}'") from None
-        result = result.add(value.scale(coeff))
+        value = attribute_values.get(name)
+        if value is None:
+            if constants is None or name not in constants:
+                raise ModelError(f"no symbolic value available for attribute '{name}'")
+            expr: "float | LinExpr" = float(constants[name])
+        else:
+            expr = value.expr
+        if isinstance(expr, float):
+            scaled = expr * coeff
+            constant += scaled
+            lower += scaled
+            upper += scaled
+            continue
+        if terms is None:
+            terms = {}
+        accumulate(terms, expr.terms, coeff)
+        constant += expr.constant * coeff
+        low, high = _scaled_bounds(value.lower, value.upper, coeff)  # type: ignore[union-attr]
+        lower += low
+        upper += high
     for name, coeff in affine.param_coeffs.items():
         if coeff == 0.0:
             continue
         if name in param_variables:
             variable = param_variables[name]
-            lower, upper = param_bounds.get(name, (variable.lower, variable.upper))
-            result = result.add(SymbolicValue(as_linexpr(variable), lower, upper).scale(coeff))
+            bound_low, bound_high = param_bounds.get(name, (variable.lower, variable.upper))
+            if terms is None:
+                terms = {}
+            accumulate(terms, {variable: 1.0}, coeff)
+            constant += 0.0 * coeff
+            low, high = _scaled_bounds(bound_low, bound_high, coeff)
+            lower += low
+            upper += high
         else:
-            result = result.add(SymbolicValue.constant(affine.param_values[name]).scale(coeff))
-    return result
+            scaled = float(affine.param_values[name]) * coeff
+            constant += scaled
+            lower += scaled
+            upper += scaled
+    if terms is None:
+        return SymbolicValue(constant, constant, constant)
+    return SymbolicValue(LinExpr._of(terms, constant), lower, upper)

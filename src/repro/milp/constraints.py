@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.milp.expr import LinExpr
@@ -18,18 +18,21 @@ class Sense(enum.Enum):
     EQ = "=="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """A linear constraint ``expr SENSE rhs``.
 
     The right-hand side is always a plain number; constant terms of the
     expression are folded into it by :meth:`repro.milp.model.Model.add_constraint`.
+    A model stores its rows flat and hands out constraints as views of them;
+    ``row`` is the view's row index in that model (-1 when free-standing).
     """
 
     name: str
     expr: LinExpr
     sense: Sense
     rhs: float
+    row: int = field(default=-1, compare=False)
 
     def satisfied_by(
         self,

@@ -40,10 +40,11 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.milp.expr import LinExpr
-from repro.milp.model import Model
+from repro.milp.model import Model, difference
 from repro.milp.presolve import presolve
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers.base import Solver, solve_with_warm_start
+from repro.milp.variables import Variable
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,7 +110,10 @@ def split_model(
     ``largest_component_vars`` stats always describe the *true* components.
     """
     matrices = model.to_matrices()
-    n = model.num_variables
+    # One read of the variables: ``Model.variables`` copies the whole list on
+    # every access.
+    variables = model.variables
+    n = len(variables)
     m = model.num_constraints
     lb_var = np.asarray(matrices["lb_var"], dtype=float)
     ub_var = np.asarray(matrices["ub_var"], dtype=float)
@@ -126,42 +130,44 @@ def split_model(
 
     pinned_mask = (ub_var - lb_var) <= _FIXED_TOLERANCE
     pinned_values = {
-        model.variables[i].name: float((lb_var[i] + ub_var[i]) / 2.0)
+        variables[i].name: float((lb_var[i] + ub_var[i]) / 2.0)
         for i in np.flatnonzero(pinned_mask)
     }
 
     # Connected components over the bipartite variable–constraint graph,
     # with pinned columns masked so they cannot bridge components.  Nodes
-    # 0..n-1 are variables, n..n+m-1 are constraint rows.
+    # 0..n-1 are variables, n..n+m-1 are constraint rows; an edge joins a
+    # row to each of its active columns.
     active = ~pinned_mask
+    rows = model.rows()
+    row_index = np.repeat(np.arange(m), np.diff(rows.indptr))
+    touches_active = active[rows.cols] if n > 0 else np.zeros(0, dtype=bool)
     labels: np.ndarray
     if m > 0 and n > 0:
-        A = matrices["A"].tocsr()
-        A_active = (A @ sparse.diags(active.astype(float))).tocsr()
-        A_active.eliminate_zeros()
-        bipartite = sparse.bmat(
-            [[None, A_active.T], [A_active, None]], format="csr"
+        edges = touches_active & (rows.vals != 0.0)
+        edge_rows, edge_cols = row_index[edges], rows.cols[edges]
+        graph = sparse.csr_matrix(
+            (np.ones(len(edge_rows)), (edge_cols, n + edge_rows)), shape=(n + m, n + m)
         )
-        _, labels = csgraph.connected_components(bipartite, directed=False)
+        _, labels = csgraph.connected_components(graph, directed=False)
     else:
         labels = np.arange(n + m)
 
-    fixed_named = dict(pinned_values)
     component_vars: dict[int, list[int]] = {}
     for i in np.flatnonzero(active):
         component_vars.setdefault(int(labels[i]), []).append(int(i))
     component_cons: dict[int, list[int]] = {}
-    constraints = model.constraints
+    row_is_active = np.bincount(row_index[touches_active], minlength=m) > 0
+    pinned_lookup = model._value_lookup(pinned_values)
     for j in range(m):
-        row_vars = [v for v in constraints[j].expr.terms if not pinned_mask[v.index]]
-        if not row_vars:
+        if not row_is_active[j]:
             # Fully pinned row: the submodels never see it, so its activity
             # under the pinned values must already satisfy the constraint.
-            if not constraints[j].satisfied_by(fixed_named, tolerance=_ROW_TOLERANCE):
+            if not model._row_satisfied(j, pinned_lookup, _ROW_TOLERANCE):
                 return ModelSplit(
                     infeasible=True,
                     reason=(
-                        f"constraint '{constraints[j].name}' is violated by "
+                        f"constraint '{rows.names[j]}' is violated by "
                         "the pinned variable values"
                     ),
                     pinned_values=pinned_values,
@@ -178,7 +184,7 @@ def split_model(
         if label in component_cons:
             continue
         for i in var_indices:
-            variable = model.variables[i]
+            variable = variables[i]
             value = _isolated_optimum(
                 float(matrices["c"][i]),
                 float(lb_var[i]),
@@ -214,13 +220,16 @@ def split_model(
     if current:
         groups.append(current)
 
+    pinned_list = pinned_mask.tolist()
+    names = [variable.name for variable in variables]
+    starts, row_cols, row_vals = rows.indptr.tolist(), rows.cols.tolist(), rows.vals.tolist()
     for position, group in enumerate(groups):
         var_indices = [i for _, members in group for i in members]
         submodel = Model(f"{model.name}/component{position}")
-        clones: dict[str, object] = {}
+        clones: dict[int, Variable] = {}
         for i in sorted(var_indices):
-            variable = model.variables[i]
-            clones[variable.name] = submodel.add_variable(
+            variable = variables[i]
+            clones[i] = submodel.add_variable(
                 variable.name,
                 lower=float(lb_var[i]),
                 upper=float(ub_var[i]),
@@ -228,26 +237,26 @@ def split_model(
             )
         group_cons = [j for label, _ in group for j in component_cons.get(label, ())]
         for j in sorted(group_cons):
-            constraint = constraints[j]
-            terms: dict[object, float] = {}
+            # The row with its pinned columns moved into the right-hand side,
+            # added as ``add_constraint(LinExpr(terms), sense, rhs - shift)``
+            # would add it.
+            terms: dict[Variable, float] = {}
             shift = 0.0
-            for variable, coeff in constraint.expr.terms.items():
-                if pinned_mask[variable.index]:
-                    shift += coeff * split.pinned_values[variable.name]
-                else:
-                    terms[clones[variable.name]] = coeff
-            submodel.add_constraint(
-                LinExpr(terms),  # type: ignore[arg-type]
-                constraint.sense,
-                constraint.rhs - shift,
-                name=constraint.name,
-            )
+            for pointer in range(starts[j], starts[j + 1]):
+                column, coeff = row_cols[pointer], row_vals[pointer]
+                if pinned_list[column]:
+                    shift += coeff * split.pinned_values[names[column]]
+                elif coeff != 0.0:
+                    terms[clones[column]] = float(coeff)
+            terms, rhs = difference(terms, 0.0, {}, float(rows.rhs[j] - shift))
+            submodel._add_row(terms, int(rows.senses[j]), rhs, rows.names[j])
+        by_name = {clone.name: clone for clone in clones.values()}
         submodel.set_objective(
             LinExpr(
                 {
-                    clones[variable.name]: coeff
+                    by_name[variable.name]: coeff
                     for variable, coeff in objective_terms.items()
-                    if variable.name in clones
+                    if variable.name in by_name
                 }  # type: ignore[arg-type]
             )
         )
@@ -255,7 +264,7 @@ def split_model(
             SubModel(
                 index=position,
                 model=submodel,
-                variable_names=tuple(sorted(clones)),
+                variable_names=tuple(sorted(by_name)),
             )
         )
 

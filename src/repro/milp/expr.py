@@ -39,7 +39,15 @@ class LinExpr:
     @classmethod
     def from_constant(cls, value: float) -> "LinExpr":
         """An expression with no variables."""
-        return cls({}, value)
+        return cls._of({}, float(value))
+
+    @classmethod
+    def _of(cls, terms: Dict[Variable, float], constant: float) -> "LinExpr":
+        """Wrap an already-built term dict (no copy, no checks)."""
+        expr = cls.__new__(cls)
+        expr._terms = terms
+        expr.constant = constant
+        return expr
 
     @classmethod
     def sum(cls, expressions: Iterable["LinExpr | Variable | float"]) -> "LinExpr":
@@ -112,10 +120,7 @@ class LinExpr:
     # -- arithmetic -------------------------------------------------------------
 
     def _copy(self) -> "LinExpr":
-        clone = LinExpr()
-        clone._terms = dict(self._terms)
-        clone.constant = self.constant
-        return clone
+        return LinExpr._of(dict(self._terms), self.constant)
 
     def __add__(self, other: "LinExpr | Variable | float") -> "LinExpr":
         result = self._copy()
@@ -147,7 +152,11 @@ class LinExpr:
         if isinstance(other, Variable):
             return self + (other * -1.0)
         if isinstance(other, LinExpr):
-            return self + (other * -1.0)
+            # ``self + other * -1.0`` without the intermediate expression.
+            result = self._copy()
+            accumulate(result._terms, other._terms, -1.0)
+            result.constant += other.constant * -1.0
+            return result
         return NotImplemented
 
     def __rsub__(self, other: "float") -> "LinExpr":
@@ -156,11 +165,8 @@ class LinExpr:
     def __mul__(self, factor: float) -> "LinExpr":
         if not isinstance(factor, Number):
             raise ModelError("LinExpr can only be multiplied by a scalar")
-        result = LinExpr()
-        if factor != 0.0:
-            result._terms = {var: coeff * factor for var, coeff in self._terms.items()}
-        result.constant = self.constant * float(factor)
-        return result
+        terms = {var: coeff * factor for var, coeff in self._terms.items()} if factor != 0.0 else {}
+        return LinExpr._of(terms, self.constant * float(factor))
 
     def __rmul__(self, factor: float) -> "LinExpr":
         return self * factor
@@ -174,12 +180,30 @@ class LinExpr:
         return " ".join(parts)
 
 
+def accumulate(terms: Dict[Variable, float], other: Mapping[Variable, float], factor: float) -> None:
+    """Add ``factor * other`` into ``terms`` in place, exactly as ``+`` does.
+
+    Each coefficient is scaled first and then added, and a sum of exactly
+    zero drops the variable — the same float operations, in the same order,
+    as ``expr + other_expr * factor`` (which :meth:`LinExpr.__mul__` skips
+    entirely for a zero factor).
+    """
+    if factor == 0.0:
+        return
+    for variable, coeff in other.items():
+        updated = terms.get(variable, 0.0) + coeff * factor
+        if updated == 0.0:
+            terms.pop(variable, None)
+        else:
+            terms[variable] = updated
+
+
 def as_linexpr(value: "LinExpr | Variable | float") -> LinExpr:
     """Coerce a variable or number into a :class:`LinExpr`."""
     if isinstance(value, LinExpr):
         return value
     if isinstance(value, Variable):
-        return LinExpr({value: 1.0})
+        return LinExpr._of({value: 1.0}, 0.0)
     if isinstance(value, Number):
         return LinExpr.from_constant(float(value))
     raise ModelError(f"cannot convert {value!r} to a linear expression")

@@ -13,6 +13,13 @@ the linearization tricks the paper applies to its query encoding:
   variables for AND / OR WHERE clauses.
 * :func:`add_absolute_value` — the standard two-inequality reformulation used
   to express the Manhattan-distance objective (Section 4.3).
+
+Every helper writes its rows straight into the model's row buffers
+(:meth:`~repro.milp.model.Model._add_row`).  Each row is normalized with
+:func:`~repro.milp.model.difference` from the two sides the docstrings show,
+and each side is built with the float operations ``LinExpr`` arithmetic
+would use for the same expression (noted beside every row), so the stored
+rows are exactly those ``Model.add_constraint`` would store.
 """
 
 from __future__ import annotations
@@ -20,12 +27,38 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import ModelError
-from repro.milp.expr import LinExpr, as_linexpr
-from repro.milp.model import Model
+from repro.milp.expr import LinExpr, accumulate, as_linexpr
+from repro.milp.model import EQ, GE, LE, Model, difference
 from repro.milp.variables import Variable
 
 #: Operators accepted by :func:`add_comparison_indicator`.
 INDICATOR_OPS = ("<=", ">=", "<", ">", "=", "!=")
+
+
+def _times(variable: Variable, factor: float) -> dict[Variable, float]:
+    """The terms of ``variable * factor`` (no term for a zero factor)."""
+    return {variable: 1.0 * factor} if factor != 0.0 else {}
+
+
+def _plus(terms: dict[Variable, float], variable: Variable, factor: float) -> dict[Variable, float]:
+    """The terms of ``expr + variable * factor`` for ``expr`` with ``terms``."""
+    merged = dict(terms)
+    accumulate(merged, {variable: 1.0}, factor)
+    return merged
+
+
+def _row(
+    model: Model,
+    left: "dict[Variable, float]",
+    left_constant: float,
+    right: "dict[Variable, float]",
+    right_constant: float,
+    sense: int,
+    name: str,
+    big_m: float | None = None,
+) -> None:
+    terms, rhs = difference(left, left_constant, right, right_constant)
+    model._add_row(terms, sense, rhs, name, big_m)
 
 
 def add_binary_times_affine(
@@ -49,16 +82,27 @@ def add_binary_times_affine(
         raise ModelError(f"invalid bounds for product linearization: [{lower}, {upper}]")
     expression = as_linexpr(expr)
     u = model.add_continuous(name, lower=min(lower, 0.0), upper=max(upper, 0.0))
-    if expression.is_constant():
+    own = {u: 1.0}
+    terms, constant = expression.terms, expression.constant
+    if not terms:
         # binary * constant is already linear: one equality instead of the
         # four-inequality envelope (a large model-size saving for UPDATE
         # deltas that constant-fold).
-        model.add_equal(u, binary * expression.constant, f"{name}_const")
+        # u == binary * constant
+        _row(model, own, 0.0, _times(binary, constant), 0.0 * constant, EQ, f"{name}_const")
         return u
-    model.add_le(u, binary * upper, f"{name}_ub_bin")
-    model.add_ge(u, binary * lower, f"{name}_lb_bin")
-    model.add_le(u, expression - lower + binary * lower, f"{name}_ub_expr")
-    model.add_ge(u, expression - upper + binary * upper, f"{name}_lb_expr")
+    # u <= binary * upper ; u >= binary * lower
+    _row(model, own, 0.0, _times(binary, upper), 0.0 * upper, LE, f"{name}_ub_bin")
+    _row(model, own, 0.0, _times(binary, lower), 0.0 * lower, GE, f"{name}_lb_bin")
+    # u <= expr - lower + binary * lower ; u >= expr - upper + binary * upper
+    _row(
+        model, own, 0.0, _plus(terms, binary, lower),
+        (constant + -float(lower)) + 0.0 * lower, LE, f"{name}_ub_expr",
+    )
+    _row(
+        model, own, 0.0, _plus(terms, binary, upper),
+        (constant + -float(upper)) + 0.0 * upper, GE, f"{name}_lb_expr",
+    )
     return u
 
 
@@ -77,8 +121,11 @@ def add_absolute_value(
     expression = as_linexpr(expr)
     bound = upper if upper is not None else 1e9
     d = model.add_continuous(name, lower=0.0, upper=bound)
-    model.add_ge(d, expression, f"{name}_pos")
-    model.add_ge(d, -1.0 * expression, f"{name}_neg")
+    terms, constant = expression.terms, expression.constant
+    # d >= expr ; d >= -1.0 * expr
+    _row(model, {d: 1.0}, 0.0, terms, constant, GE, f"{name}_pos")
+    negated = {variable: coeff * -1.0 for variable, coeff in terms.items()}
+    _row(model, {d: 1.0}, 0.0, negated, constant * -1.0, GE, f"{name}_neg")
     return d
 
 
@@ -101,49 +148,88 @@ def add_comparison_indicator(
     """
     if op not in INDICATOR_OPS:
         raise ModelError(f"unsupported comparison operator '{op}'")
-    diff = as_linexpr(lhs) - as_linexpr(rhs)
-    # Every emitted on/off row is tagged with its big-M constant via
-    # Model.mark_big_m: the presolve's tightening pass reports (and the
-    # benchmarks histogram) declared-vs-effective M per row.
+    left, right = as_linexpr(lhs), as_linexpr(rhs)
+    # diff = lhs - rhs
+    diff = dict(left.terms)
+    accumulate(diff, right.terms, -1.0)
+    _indicator(
+        model, binary, diff, left.constant + right.constant * -1.0, op,
+        big_m=big_m, epsilon=epsilon, name=name,
+    )
+
+
+def _indicator(
+    model: Model,
+    binary: Variable,
+    diff: dict[Variable, float],
+    constant: float,
+    op: str,
+    *,
+    big_m: float,
+    epsilon: float,
+    name: str,
+) -> None:
+    """The rows of :func:`add_comparison_indicator` for ``diff op 0``.
+
+    ``diff`` / ``constant`` are the terms and constant of ``lhs - rhs``.
+    Every on/off row is tagged with its big-M constant: the presolve's
+    tightening pass reports (and the benchmarks histogram) declared-vs-
+    effective M per row.
+    """
+    on, off = f"{name}_on", f"{name}_off"
     if op == ">=":
         # binary = 1  =>  diff >= 0 ; binary = 0  =>  diff <= -epsilon
-        on = model.add_ge(diff, binary * big_m - big_m, f"{name}_on")
-        off = model.add_le(diff, binary * big_m - epsilon, f"{name}_off")
-        model.mark_big_m(on, big_m)
-        model.mark_big_m(off, big_m)
+        # diff >= binary * big_m - big_m ; diff <= binary * big_m - epsilon
+        row_m = _times(binary, big_m)
+        _row(model, diff, constant, row_m, 0.0 * big_m + -float(big_m), GE, on, big_m)
+        _row(model, diff, constant, row_m, 0.0 * big_m + -float(epsilon), LE, off, big_m)
     elif op == "<=":
-        on = model.add_le(diff, big_m - binary * big_m, f"{name}_on")
-        off = model.add_ge(diff, epsilon - binary * big_m, f"{name}_off")
-        model.mark_big_m(on, big_m)
-        model.mark_big_m(off, big_m)
+        # diff <= big_m - binary * big_m ; diff >= epsilon - binary * big_m
+        row_m = {v: c * -1.0 for v, c in _times(binary, big_m).items()}
+        flipped = (0.0 * big_m) * -1.0
+        _row(model, diff, constant, row_m, flipped + big_m, LE, on, big_m)
+        _row(model, diff, constant, row_m, flipped + epsilon, GE, off, big_m)
     elif op == ">":
         # binary = 1  =>  diff >= epsilon ; binary = 0  =>  diff <= 0
-        on = model.add_ge(diff, binary * (big_m + epsilon) - big_m, f"{name}_on")
-        off = model.add_le(diff, binary * big_m, f"{name}_off")
-        model.mark_big_m(on, big_m + epsilon)
-        model.mark_big_m(off, big_m)
+        # diff >= binary * (big_m + epsilon) - big_m ; diff <= binary * big_m
+        wide = big_m + epsilon
+        _row(
+            model, diff, constant, _times(binary, wide), 0.0 * wide + -float(big_m),
+            GE, on, wide,
+        )
+        _row(model, diff, constant, _times(binary, big_m), 0.0 * big_m, LE, off, big_m)
     elif op == "<":
-        on = model.add_le(diff, big_m - binary * (big_m + epsilon), f"{name}_on")
-        off = model.add_ge(diff, -1.0 * binary * big_m, f"{name}_off")
-        model.mark_big_m(on, big_m + epsilon)
-        model.mark_big_m(off, big_m)
+        # diff <= big_m - binary * (big_m + epsilon) ; diff >= -1.0 * binary * big_m
+        wide = big_m + epsilon
+        row_wide = {v: c * -1.0 for v, c in _times(binary, wide).items()}
+        _row(model, diff, constant, row_wide, (0.0 * wide) * -1.0 + big_m, LE, on, wide)
+        _row(
+            model, diff, constant, _times(binary, -1.0 * big_m), (0.0 * -1.0) * big_m,
+            GE, off, big_m,
+        )
     elif op == "=":
         # Equality needs two one-sided indicators conjoined.
         ge_bin = model.add_binary(f"{name}_ge")
         le_bin = model.add_binary(f"{name}_le")
-        add_comparison_indicator(
-            model, ge_bin, diff, ">=", 0.0, big_m=big_m, epsilon=epsilon, name=f"{name}_geq"
+        # The recursion compares ``diff - 0.0``.
+        inner = constant + 0.0 * -1.0
+        _indicator(
+            model, ge_bin, dict(diff), inner, ">=",
+            big_m=big_m, epsilon=epsilon, name=f"{name}_geq",
         )
-        add_comparison_indicator(
-            model, le_bin, diff, "<=", 0.0, big_m=big_m, epsilon=epsilon, name=f"{name}_leq"
+        _indicator(
+            model, le_bin, dict(diff), inner, "<=",
+            big_m=big_m, epsilon=epsilon, name=f"{name}_leq",
         )
         add_conjunction(model, binary, [ge_bin, le_bin], name=f"{name}_and")
     else:  # "!="
         eq_bin = model.add_binary(f"{name}_eq")
-        add_comparison_indicator(
-            model, eq_bin, diff, "=", 0.0, big_m=big_m, epsilon=epsilon, name=f"{name}_inner"
+        _indicator(
+            model, eq_bin, dict(diff), constant + 0.0 * -1.0, "=",
+            big_m=big_m, epsilon=epsilon, name=f"{name}_inner",
         )
-        model.add_equal(binary + eq_bin, 1.0, f"{name}_neg")
+        # binary + eq_bin == 1
+        _row(model, _plus({binary: 1.0}, eq_bin, 1.0), 0.0, {}, 1.0, EQ, f"{name}_neg")
 
 
 def add_conjunction(
@@ -154,13 +240,23 @@ def add_conjunction(
     name: str,
 ) -> None:
     """Constrain ``binary`` to equal the logical AND of ``children``."""
+    own = {binary: 1.0}
     if not children:
-        model.add_equal(binary, 1.0, f"{name}_empty")
+        _row(model, own, 0.0, {}, 1.0, EQ, f"{name}_empty")
         return
     for index, child in enumerate(children):
-        model.add_le(binary, child, f"{name}_le_{index}")
+        # binary <= child
+        child_expr = as_linexpr(child)
+        _row(
+            model, own, 0.0, child_expr.terms, child_expr.constant, LE,
+            f"{name}_le_{index}",
+        )
     total = LinExpr.sum(children)
-    model.add_ge(binary, total - (len(children) - 1), f"{name}_ge")
+    # binary >= sum(children) - (len(children) - 1)
+    _row(
+        model, own, 0.0, total.terms, total.constant + -float(len(children) - 1), GE,
+        f"{name}_ge",
+    )
 
 
 def add_disjunction(
@@ -171,10 +267,17 @@ def add_disjunction(
     name: str,
 ) -> None:
     """Constrain ``binary`` to equal the logical OR of ``children``."""
+    own = {binary: 1.0}
     if not children:
-        model.add_equal(binary, 0.0, f"{name}_empty")
+        _row(model, own, 0.0, {}, 0.0, EQ, f"{name}_empty")
         return
     for index, child in enumerate(children):
-        model.add_ge(binary, child, f"{name}_ge_{index}")
+        # binary >= child
+        child_expr = as_linexpr(child)
+        _row(
+            model, own, 0.0, child_expr.terms, child_expr.constant, GE,
+            f"{name}_ge_{index}",
+        )
     total = LinExpr.sum(children)
-    model.add_le(binary, total, f"{name}_le")
+    # binary <= sum(children)
+    _row(model, own, 0.0, total.terms, total.constant, LE, f"{name}_le")

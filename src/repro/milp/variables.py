@@ -54,7 +54,7 @@ class Variable:
     def _as_expr(self) -> "LinExpr":
         from repro.milp.expr import LinExpr
 
-        return LinExpr({self: 1.0})
+        return LinExpr._of({self: 1.0}, 0.0)
 
     def __add__(self, other):  # type: ignore[no-untyped-def]
         return self._as_expr() + other

@@ -73,6 +73,25 @@ class TestSplitModel:
         assert split.component_count == 2
 
 
+    def test_reads_the_variables_once(self, monkeypatch):
+        # Model.variables copies the whole variable list on every access, so
+        # reading it per pinned, isolated or cloned variable made the split
+        # quadratic in model size.
+        model = block_model(4)
+        pinned = model.add_continuous("pinned", lower=2.0, upper=2.0)
+        model.add_continuous("isolated", lower=1.0, upper=3.0)
+        model.add_le(pinned + model.get_variable("x0"), 9.0, "bridge")
+        accesses = []
+        variables = Model.variables
+        monkeypatch.setattr(
+            Model, "variables", property(lambda self: accesses.append(self) or variables.fget(self))
+        )
+        split = split_model(model, use_presolve=True)
+        assert split.component_count == 4
+        assert set(split.pinned_values) == {"pinned", "isolated"}
+        assert len(accesses) == 1
+
+
 class TestMergeSolutions:
     def _split(self, blocks: int = 2) -> "tuple[Model, ModelSplit]":
         model = block_model(blocks)
