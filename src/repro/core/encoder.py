@@ -65,6 +65,19 @@ from repro.queries.predicates import (
 from repro.queries.query import DeleteQuery, InsertQuery, Query, UpdateQuery
 
 
+def insert_rids(compiled: Sequence[CompiledQuery], next_rid: int) -> dict[int, int]:
+    """Map each INSERT query index to the rid its tuple receives on replay.
+
+    Replay hands out rids in log order from the initial table's ``next_rid``.
+    """
+    mapping: dict[int, int] = {}
+    for index, query in enumerate(compiled):
+        if query.kind is INSERT:
+            mapping[index] = next_rid
+            next_rid += 1
+    return mapping
+
+
 @dataclass
 class EncodedProblem:
     """The MILP produced by :class:`LogEncoder` plus bookkeeping for decoding."""
@@ -198,22 +211,34 @@ class LogEncoder:
         self._sentinels = {
             spec.name: spec.upper + encoding.sentinel_gap for spec in schema.attributes
         }
+        # Set by ``encode``: whether the prefix fold's encoded view always
+        # equals the shadow tuple (see ``_fold_prefix``).
+        self._view_is_shadow = False
 
     # -- public API ------------------------------------------------------------------
 
     def encode(self) -> EncodedProblem:
         """Build and return the MILP problem."""
         self._register_parameters()
-        insert_rids = self._insert_rids()
+        inserted = insert_rids(self._compiled, self.initial.table.next_rid)
         encoded_attrs = self._encoded_attributes()
         encoded_queries = self._encoded_queries(encoded_attrs)
         constrained_attrs = self._constrained_attributes(encoded_attrs, encoded_queries)
-        rids = self._encoded_rids(insert_rids)
+        rids = self._encoded_rids(inserted)
+        self._view_is_shadow = (
+            self.config.encoding.delete_encoding != "alive"
+            and encoded_attrs.issuperset(self.schema.attribute_names)
+            and all(
+                index in encoded_queries
+                for index in range(self._prefix_end())
+                if self._compiled[index].kind is not INSERT
+            )
+        )
 
         for rid in rids:
             self._encode_tuple(
                 rid,
-                insert_rids,
+                inserted,
                 encoded_attrs,
                 encoded_queries,
                 constrained_attrs,
@@ -248,16 +273,6 @@ class LogEncoder:
                 )
                 self._param_vars[name] = variable
                 self._param_originals[name] = value
-
-    def _insert_rids(self) -> dict[int, int]:
-        """Map each INSERT query index to the rid its tuple receives on replay."""
-        mapping: dict[int, int] = {}
-        next_rid = self.initial.table.next_rid
-        for index, compiled in enumerate(self._compiled):
-            if compiled.kind is INSERT:
-                mapping[index] = next_rid
-                next_rid += 1
-        return mapping
 
     def _encoded_attributes(self) -> frozenset[str]:
         if self.requested_attributes is not None:
@@ -378,24 +393,30 @@ class LogEncoder:
 
         ``view`` holds the shadow values overlaid with the encoded ones (how
         the symbolic walk reads an attribute), kept current as either changes.
+        When every attribute is encoded, every UPDATE and DELETE before
+        ``stop`` is encoded and deletes push to the sentinel (every refinement
+        encode), the view *is* the shadow tuple at every step, so one shadow
+        walk gives both.
         """
         if born_at == -1:
             row = self.initial.get(rid)
             assert row is not None
             shadow = dict(row.values)
-            folded = {attribute: row.values[attribute] for attribute in encoded_attrs}
             start = 0
         elif born_at < stop:
             provided = self._compiled[born_at].values
             shadow = {attribute: provided[attribute] for attribute in self.schema.attribute_names}
-            folded = {
-                attribute: value
-                for attribute, value in shadow.items()
-                if attribute in encoded_attrs
-            }
             start = born_at + 1
         else:
             return {}, {}, False, 0.0
+        if self._view_is_shadow:
+            shadow_alive = True
+            for index in range(start, stop):
+                shadow_alive = self._shadow_step(self._compiled[index], shadow, shadow_alive)
+            return dict(shadow), shadow, shadow_alive, 1.0 if shadow_alive else 0.0
+        folded = {
+            attribute: value for attribute, value in shadow.items() if attribute in encoded_attrs
+        }
         view = {**shadow, **folded}
         shadow_alive, alive = True, 1.0
         sentinels = self._sentinels
@@ -538,10 +559,13 @@ class LogEncoder:
         match = self._combine_with_alive(index, rid, match, alive)
         if self.config.encoding.delete_encoding == "alive":
             return self._apply_alive_delete(index, rid, match, alive)
-        # Sentinel encoding: matched tuples have every attribute pushed to M+.
+        # Sentinel encoding: matched tuples have every attribute pushed to M+,
+        # in schema order so that the model does not depend on string hashing.
         if isinstance(match, float) and match == 0.0:
             return alive
-        for attribute in encoded_attrs:
+        for attribute in self.schema.attribute_names:
+            if attribute not in encoded_attrs:
+                continue
             sentinel = self._sentinels[attribute]
             old = sym[attribute]
             if isinstance(match, float):

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from repro.core.complaints import ComplaintSet
 from repro.core.config import QFixConfig
-from repro.core.encoder import LogEncoder
+from repro.core.encoder import LogEncoder, insert_rids
 from repro.core.refinement import refine_repair
 from repro.core.repair import (
     RepairResult,
@@ -140,6 +140,19 @@ class IncrementalRepairer:
         # One compiled log serves every window's encode and every replay of
         # this diagnosis.
         compiled = CompiledLog(schema)
+        searched = candidates
+        if rids is not None:
+            # An INSERT writes only the tuple it creates.  Parameterizing one
+            # whose tuple is not encoded changes nothing the encoded tuples
+            # see, so a window of such INSERTs is always trivially infeasible.
+            encoded = set(rids)
+            searched = candidates - {
+                index
+                for index, rid in insert_rids(
+                    compiled.of(encode_log), initial.table.next_rid
+                ).items()
+                if rid not in encoded
+            }
 
         total_encode = 0.0
         total_solve = 0.0
@@ -149,7 +162,7 @@ class IncrementalRepairer:
         last_stats: dict[str, float] = {}
 
         for window in windows_newest_first(len(encode_log), config.incremental_batch):
-            parameterized = [index for index in window if index in candidates]
+            parameterized = [index for index in window if index in searched]
             if not parameterized:
                 continue
             windows_tried += 1

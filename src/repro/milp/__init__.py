@@ -8,10 +8,10 @@ it has no proprietary dependencies:
 * big-M / indicator linearization helpers (:mod:`repro.milp.linearize`) that
   implement the envelope constraints of the paper's Equation (3) for general
   bounded domains;
-* two interchangeable solver backends: :class:`HighsSolver` drives
-  ``scipy.optimize.milp`` (the HiGHS branch-and-cut engine bundled with
-  SciPy), and :class:`BranchAndBoundSolver` is a pure-Python branch-and-bound
-  over LP relaxations solved with ``scipy.optimize.linprog`` — useful as a
+* two interchangeable solver backends: :class:`HighsSolver` calls the HiGHS
+  branch-and-cut engine bundled with SciPy directly through SciPy's binding,
+  and :class:`BranchAndBoundSolver` is a pure-Python branch-and-bound over LP
+  relaxations solved with ``scipy.optimize.linprog`` — useful as a
   cross-check and on platforms where HiGHS misbehaves.
 """
 

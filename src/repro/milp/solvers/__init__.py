@@ -4,11 +4,13 @@ Choosing a backend
 ==================
 
 ``highs`` (:class:`HighsSolver`, the default)
-    Drives ``scipy.optimize.milp`` — a compiled branch-and-cut engine with
-    cutting planes and its own presolve.  Fastest to optimality on every
-    workload we benchmark; the only reasons to switch away are debuggability
-    (it is a black box per solve) and the lack of a warm-start hook (hints
-    are accepted but ignored, so repeated session diagnoses pay full price).
+    Calls HiGHS, a compiled branch-and-cut engine with cutting planes and
+    its own presolve, once per model through the binding SciPy ships
+    (``scipy.optimize._highspy._core``, the one ``scipy.optimize.milp``
+    wraps), with the feasibility-jump heuristic off.  Fastest to optimality
+    on every workload we benchmark; the only reasons to switch away are
+    debuggability (it is a black box per solve) and warm starts (hints are
+    accepted but ignored, so repeated session diagnoses pay full price).
 
 ``branch-and-bound`` (:class:`BranchAndBoundSolver`)
     Pure-Python best-first branch-and-bound over HiGHS LP relaxations.

@@ -182,3 +182,57 @@ class TestRefinement:
         assert changed_queries(scenario.corrupted_log, result.repaired_log) == list(
             result.changed_query_indices
         )
+
+
+class TestInsertWindows:
+    """With tuple slicing, the search skips INSERTs that cannot reach a complaint."""
+
+    @staticmethod
+    def _scenario():
+        from repro.queries.query import InsertQuery
+        from repro.workload.scenario import build_scenario
+        from repro.workload.tpcc import TPCCConfig, TPCCWorkloadGenerator
+
+        generator = TPCCWorkloadGenerator(TPCCConfig(n_initial_orders=30, n_queries=24, seed=3))
+        workload = generator.generate()
+        inserts = [
+            index for index, query in enumerate(workload.log) if isinstance(query, InsertQuery)
+        ]
+        corrupted = inserts[len(inserts) // 2]
+        scenario = build_scenario(
+            workload, [corrupted], rng=5, corruptor=generator.corrupt_query
+        )
+        rid = workload.initial.table.next_rid + inserts.index(corrupted)
+        assert tuple(scenario.complaints.rids) == (rid,)
+        return scenario, inserts, corrupted
+
+    def test_only_windows_that_reach_the_inserted_complaint_are_encoded(self, monkeypatch):
+        from repro.core.encoder import LogEncoder
+
+        scenario, inserts, corrupted = self._scenario()
+        windows: list[tuple[int, ...]] = []
+        encode = LogEncoder.encode
+
+        def spy(encoder):
+            if not encoder.soft_rids:  # refinement's encode has soft rows
+                windows.append(encoder.parameterized)
+            return encode(encoder)
+
+        monkeypatch.setattr(LogEncoder, "encode", spy)
+        result = IncrementalRepairer(QFixConfig()).repair(
+            scenario.schema,
+            scenario.initial,
+            scenario.dirty,
+            scenario.corrupted_log,
+            scenario.complaints,
+        )
+        assert windows, "no window was encoded"
+        unreachable = set(inserts) - {corrupted}
+        assert not [window for window in windows if set(window) <= unreachable]
+        assert result.windows_tried == len(windows)
+        assert result.feasible
+        assert result.changed_query_indices == (corrupted,)
+        assert result.repaired_log[corrupted].params() == scenario.clean_log[corrupted].params()
+        assert repair_resolves_complaints(
+            scenario.initial, result.repaired_log, scenario.complaints
+        )

@@ -19,10 +19,10 @@ with an attribute subset and query candidates, the whole log (the basic
 diagnoser), and a refinement-style encode with soft rows on non-complaint
 tuples.
 
-The digests are computed in a child interpreter with ``PYTHONHASHSEED=0``:
-the sentinel DELETE encoding walks the encoded attributes in ``frozenset``
-order, so the variables it creates come out in an order that depends on the
-string hash seed, and a digest is only reproducible under a fixed one.
+The digests are computed in two child interpreters with different
+``PYTHONHASHSEED`` values, which must agree: a model built by iterating a set
+of attribute names (as the sentinel DELETE encoding once did) would order its
+variables and rows by the string hash seed and differ between processes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ EXPECTED = {
     ("tpcc", "alive"): "2e38cfbe757797b74de8eca78ab05c0439bd12e6cd5aed509a48c8c7d6fdaf71",
     ("tatp", "sentinel"): "5c041ab627919c1b7c870153b6d83be469b7ab173d283ec9ec486291217e61df",
     ("tatp", "alive"): "5c041ab627919c1b7c870153b6d83be469b7ab173d283ec9ec486291217e61df",
-    ("mixed", "sentinel"): "d8171762d2022103f9b4a9fccc6df586dbaf1a9b7d7d5959c555e1cc86bad92c",
+    ("mixed", "sentinel"): "50bb22f051b0bec74ba127dec55d766a842bfd705905d0580f8bf76a6cd25d07",
     ("mixed", "alive"): "de81c54146ee390caf7ddff6ce5a8cd135e2bd1bf946fc15f621b90eca06426a",
 }
 
@@ -166,14 +166,25 @@ def all_digests() -> dict[str, str]:
     return {f"{case}/{encoding}": case_digest(case, encoding) for case, encoding in EXPECTED}
 
 
-@pytest.fixture(scope="module")
-def digests() -> dict[str, str]:
-    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(sys.path)}
+#: String hash seeds of the two child interpreters.
+HASH_SEEDS = ("0", "20170514")
+
+
+def _child_digests(hash_seed: str) -> dict[str, str]:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(sys.path)}
     completed = subprocess.run(
         [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=600
     )
     assert completed.returncode == 0, completed.stderr
     return json.loads(completed.stdout)
+
+
+@pytest.fixture(scope="module")
+def digests() -> dict[str, str]:
+    first, second = (_child_digests(seed) for seed in HASH_SEEDS)
+    moved = sorted(case for case in first if first[case] != second.get(case))
+    assert not moved, f"digests depend on the string hash seed: {moved}"
+    return first
 
 
 def test_cases_cover_every_family():
