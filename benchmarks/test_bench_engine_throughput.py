@@ -68,7 +68,7 @@ def _mixed_grid() -> list[DiagnosisRequest]:
     corruptions (no observable complaint), so the grid is stable across
     machines and runs.  Repeats get distinct request ids — they are real
     requests (think: the same dashboard query re-audited every few minutes),
-    and they are what reaches a worker's warm-start cache.
+    each solved from scratch like its first occurrence.
     """
     base = QFixConfig.fully_optimized(solver="branch-and-bound", time_limit=20.0)
     scenarios = nonvacuous_scenarios(

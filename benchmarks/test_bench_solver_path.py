@@ -1,15 +1,12 @@
-"""Solver-path benchmark: sparse + presolve + warm start vs the pre-PR path.
+"""Solver-path benchmark: sparse + presolve vs the pre-PR path.
 
 Measures the figure-4-style workload (60-tuple, 10-query UPDATE log, one
-corrupted query, Inc_1 window encoding) through three solve paths:
+corrupted query, Inc_1 window encoding) through two solve paths:
 
 * **legacy** — a faithful replica of the pre-PR branch-and-bound: dense
-  constraint matrix, per-row Python constraint splitting, no presolve, no
-  warm start, root-bounds branch checks;
-* **cold** — the current sparse/presolved path, no warm start;
-* **warm** — the current path seeded with the previous solve's assignment
-  (what :class:`repro.service.DiagnosisEngine` replays on a repeat
-  diagnosis).
+  constraint matrix, per-row Python constraint splitting, no presolve,
+  root-bounds branch checks;
+* **cold** — the current sparse/presolved branch-and-bound path.
 
 It also times the constraint-split step alone (legacy per-row loop vs the
 vectorized sparse split) on a large ``basic``-encoding model, where the dense
@@ -47,12 +44,8 @@ from repro.core.encoder import LogEncoder
 from repro.core.slicing import relevant_attributes, relevant_queries
 from repro.experiments.common import synthetic_scenario
 from repro.milp.presolve import _EQUILIBRATION_THRESHOLD, presolve
-from repro.milp.solvers.branch_and_bound import (
-    BranchAndBoundSolver,
-    _Node,
-    _most_fractional,
-    _split_constraints,
-)
+from repro.milp.relaxation import split_constraints
+from repro.milp.solvers.branch_and_bound import BranchAndBoundSolver, _Node, _most_fractional
 from repro.workload.spec import ScenarioSpec, build_spec_scenario
 
 OUTPUT_PATH = os.environ.get("BENCH_SOLVER_PATH_OUT", "BENCH_solver_path.json")
@@ -287,13 +280,8 @@ def test_bench_solver_path():
     start = time.perf_counter()
     cold = solver.solve(model)
     cold_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    warm = solver.solve(model, warm_start=cold.values)
-    warm_seconds = time.perf_counter() - start
 
     assert cold.objective == pytest.approx(legacy_obj, abs=1e-6)
-    assert warm.objective == pytest.approx(legacy_obj, abs=1e-6)
-    assert warm.stats["warm_start_used"] == 1.0
 
     # Constraint-split micro-benchmark on the large basic-encoding model.
     big = _basic_problem().model
@@ -304,13 +292,12 @@ def test_bench_solver_path():
     split_dense_seconds = (time.perf_counter() - start) / repetitions
     start = time.perf_counter()
     for _ in range(repetitions):
-        _split_constraints(big.to_matrices())
+        split_constraints(big.to_matrices())
     split_sparse_seconds = (time.perf_counter() - start) / repetitions
 
     cold_nodes = cold.stats["nodes_explored"]
-    warm_nodes = warm.stats["nodes_explored"]
-    node_reduction = legacy_nodes / max(warm_nodes, 1.0)
-    time_speedup = legacy_seconds / max(warm_seconds, 1e-9)
+    node_reduction = legacy_nodes / max(cold_nodes, 1.0)
+    time_speedup = legacy_seconds / max(cold_seconds, 1e-9)
     split_speedup = split_dense_seconds / max(split_sparse_seconds, 1e-9)
 
     # LP hot-path profile: the legacy loop solves exactly one relaxation per
@@ -348,15 +335,14 @@ def test_bench_solver_path():
                 if key.startswith("presolve_")
             },
         },
-        "sparse_presolve_warm": {"nodes": int(warm_nodes), "seconds": round(warm_seconds, 6)},
         "split_constraints": {
             "model": big.summary(),
             "dense_loop_seconds": round(split_dense_seconds, 6),
             "sparse_vectorized_seconds": round(split_sparse_seconds, 6),
             "speedup": round(split_speedup, 3),
         },
-        "node_reduction_legacy_vs_warm": round(node_reduction, 3),
-        "wall_time_speedup_legacy_vs_warm": round(time_speedup, 3),
+        "node_reduction_legacy_vs_cold": round(node_reduction, 3),
+        "wall_time_speedup_legacy_vs_cold": round(time_speedup, 3),
         "lp": {
             "legacy_lp_calls": legacy_lp_calls,
             "cold_lp_calls": cold_lp_calls,

@@ -8,11 +8,11 @@ The engine's batch path is executor-pluggable (:mod:`repro.parallel`):
 * ``process`` — load-balanced worker processes, the strategy that actually
   uses every core when the solver is pure Python (branch-and-bound).
 
-This example builds a 24-request batch (6 scenarios x 4 repeats — repeats
-reach the warm-start cache of their key's worker when it is free), runs it
-through all three strategies, checks the diagnoses agree, and streams one
-batch with :meth:`DiagnosisEngine.diagnose_stream` to show results arriving
-as they complete under a bounded in-flight window.
+This example builds a 24-request batch (6 scenarios x 4 repeats, each repeat
+solved from scratch like the first), runs it through all three strategies,
+checks the diagnoses agree, and streams one batch with
+:meth:`DiagnosisEngine.diagnose_stream` to show results arriving as they
+complete under a bounded in-flight window.
 
 Run from the repository root::
 

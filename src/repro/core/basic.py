@@ -24,7 +24,7 @@ from repro.core.slicing import (
 )
 from repro.db.database import Database
 from repro.db.schema import Schema
-from repro.milp.solvers import Solver, get_solver, solve_with_warm_start
+from repro.milp.solvers import Solver, get_solver
 from repro.obs import trace as obs
 from repro.queries.compiled import CompiledLog
 from repro.queries.log import QueryLog
@@ -64,15 +64,8 @@ class BasicRepairer:
         final: Database,
         log: QueryLog,
         complaints: ComplaintSet,
-        *,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
-        """Diagnose ``complaints`` and return a repaired log.
-
-        ``warm_start`` is a variable assignment from a previous solve of the
-        same encoding (see :meth:`EncodedProblem.solution_hint`); it seeds
-        the solver's incumbent when it still covers the freshly built model.
-        """
+        """Diagnose ``complaints`` and return a repaired log."""
         config = self.config
         complaint_attrs = complaints.complaint_attributes(final)
 
@@ -157,9 +150,7 @@ class BasicRepairer:
         if compaction is not None:
             problem.restore_original_indices(compaction)
 
-        solution = solve_with_warm_start(
-            self.solver, problem.model, problem.solution_hint(warm_start)
-        )
+        solution = self.solver.solve(problem.model)
         result = build_repair_result(
             initial,
             log,

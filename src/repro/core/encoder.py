@@ -102,41 +102,6 @@ class EncodedProblem:
     #: Additional statistics for reporting.
     stats: dict[str, float] = field(default_factory=dict)
 
-    def solution_hint(
-        self, previous: Mapping[str, float] | None
-    ) -> dict[str, float] | None:
-        """Restrict a previous solve's values to a usable warm start.
-
-        Variable names are deterministic for a fixed (log, complaints,
-        config) triple, so a cached solution from an identical encoding maps
-        onto this model verbatim.  The hint is filtered per encoding: values
-        for variables this window/component never created are dropped, and
-        ``None`` is returned unless ``previous`` covers *every* variable of
-        this model — a partial assignment cannot seed a branch-and-bound
-        incumbent, and passing it along would only cost the solver a wasted
-        feasibility check.
-
-        A value that violates this model's variable bounds also rejects the
-        hint outright.  This happens when the cached solution came from a
-        different encoding of the same names — e.g. a variable that
-        compaction or presolve has since pinned to a constant — and such a
-        stale assignment must never reach the solver: branch-and-bound seeds
-        its incumbent from constraint satisfaction alone, so a bound-violating
-        hint could otherwise prune the true optimum.
-        """
-        if not previous:
-            return None
-        hint: dict[str, float] = {}
-        for variable in self.model.variables:
-            value = previous.get(variable.name)
-            if value is None:
-                return None
-            value = float(value)
-            if value < variable.lower - 1e-9 or value > variable.upper + 1e-9:
-                return None
-            hint[variable.name] = value
-        return hint
-
     def restore_original_indices(self, compaction: "CompactedLog") -> None:
         """Map compacted-log query indices back to original log positions.
 

@@ -30,7 +30,7 @@ from repro.core.slicing import (
 from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.milp.solution import SolveStatus
-from repro.milp.solvers import Solver, get_solver, solve_with_warm_start
+from repro.milp.solvers import Solver
 from repro.obs import trace as obs
 from repro.queries.compiled import CompiledLog
 from repro.queries.log import QueryLog
@@ -66,18 +66,8 @@ class IncrementalRepairer:
         final: Database,
         log: QueryLog,
         complaints: ComplaintSet,
-        *,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
-        """Search the log newest-to-oldest for a window whose repair resolves ``complaints``.
-
-        ``warm_start`` is a cached variable assignment from a previous run
-        over the same (log, complaints, config) triple.  Each window's
-        encoding filters the hint down to its own variable universe
-        (:meth:`EncodedProblem.solution_hint`), so only the window that
-        produced the cached solution actually seeds its solver — the others
-        solve cold, exactly as before.
-        """
+        """Search the log newest-to-oldest for a window whose repair resolves ``complaints``."""
         config = self.config
         start_time = time.perf_counter()
         complaint_attrs = complaints.complaint_attributes(final)
@@ -200,9 +190,7 @@ class IncrementalRepairer:
                 last_status = SolveStatus.INFEASIBLE
                 continue
 
-            solution = solve_with_warm_start(
-                self.solver, problem.model, problem.solution_hint(warm_start)
-            )
+            solution = self.solver.solve(problem.model)
             total_solve += solution.solve_seconds
             last_status = solution.status
             last_message = solution.message

@@ -160,7 +160,4 @@ def refine_repair(
         repaired_state=refined.repaired_state,
         problem_stats=dict(step1.problem_stats),
         message=refined.message,
-        # Warm starts replay against the step-1 encoding (the refinement
-        # model has a different variable universe), so cache those values.
-        solution_values=dict(step1.solution_values),
     )

@@ -44,10 +44,6 @@ class RepairResult:
     refined: bool = False
     problem_stats: dict[str, float] = field(default_factory=dict)
     message: str = ""
-    #: Raw solver assignment (variable name -> value) of the winning solve.
-    #: Cached by the service layer and replayed as a warm start when the same
-    #: (log, complaints, config) encoding is solved again.
-    solution_values: dict[str, float] = field(default_factory=dict)
     #: Cached ``replay(initial, repaired_log)`` state, populated as a
     #: by-product of the complaint-resolution check in ``finalize_repair``.
     #: Downstream passes (refinement's NC scan, the incremental window
@@ -241,7 +237,6 @@ def build_repair_result(
     changed = tuple(changed_queries(original_log, repaired_log))
     distance = log_distance(original_log, repaired_log)
     return RepairResult(
-        solution_values=dict(solution.values),
         repaired_state=repaired_state,
         original_log=original_log,
         repaired_log=repaired_log,

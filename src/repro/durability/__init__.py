@@ -14,10 +14,9 @@ it, built from three stdlib-only pieces:
   write-to-temp + ``os.replace``, so a crash mid-snapshot always leaves a
   consistent (snapshot, WAL-tail) pair to recover from.
 * :mod:`repro.durability.shards` — a **consistent-hash ring** that partitions
-  session ids across N shard directories (each with its own WAL + snapshots),
-  plus the first-seen affinity router shared with
-  :mod:`repro.parallel.process`.  The on-disk layout is the unit a future
-  multi-process deployment assigns to worker processes.
+  session ids across N shard directories (each with its own WAL +
+  snapshots).  The on-disk layout is the unit a future multi-process
+  deployment assigns to worker processes.
 
 :mod:`repro.durability.journal` ties them together: a
 :class:`SessionJournal` owns the shard directories, journals operations,
@@ -28,9 +27,13 @@ log of operations replayed through code the tests already trust, not a new
 serialization format for solver state.
 """
 
-from typing import TYPE_CHECKING, Any
-
-from repro.durability.shards import FirstSeenRouter, HashRing, stable_hash
+from repro.durability.journal import (
+    DurabilityConfig,
+    DurabilityStats,
+    RecoveredSession,
+    SessionJournal,
+)
+from repro.durability.shards import HashRing, stable_hash
 from repro.durability.snapshot import (
     latest_snapshot,
     list_generations,
@@ -44,37 +47,10 @@ from repro.durability.wal import (
     read_wal,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.durability.journal import (
-        DurabilityConfig,
-        DurabilityStats,
-        RecoveredSession,
-        SessionJournal,
-    )
-
-#: Journal exports resolved lazily: :mod:`repro.durability.journal` imports
-#: the service layer (for session replay), which imports
-#: :mod:`repro.parallel`, whose process strategy imports this package's
-#: :mod:`~repro.durability.shards` — an eager import here would close that
-#: cycle mid-initialization.
-_JOURNAL_EXPORTS = frozenset(
-    {"DurabilityConfig", "DurabilityStats", "RecoveredSession", "SessionJournal"}
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _JOURNAL_EXPORTS:
-        from repro.durability import journal
-
-        return getattr(journal, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CorruptRecord",
     "DurabilityConfig",
     "DurabilityStats",
-    "FirstSeenRouter",
     "HashRing",
     "RecoveredSession",
     "SessionJournal",

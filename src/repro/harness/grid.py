@@ -2,9 +2,9 @@
 
 A :class:`CellSpec` pairs one data-side :class:`~repro.workload.spec.ScenarioSpec`
 with one algorithm-side configuration — diagnoser, MILP backend, presolve
-on/off, warm vs. cold — so a grid is just a list of cells.  Named grids live
-in a registry (``smoke``, ``micro``, ``full``, ``longlog``) so the CLI, CI,
-and tests all sweep the same cells by name.
+on/off, monolithic vs. decomposed — so a grid is just a list of cells.
+Named grids live in a registry (``smoke``, ``micro``, ``full``,
+``longlog``) so the CLI, CI, and tests all sweep the same cells by name.
 
 The cell's :meth:`~CellSpec.config` chooses the algorithm configuration the
 way the paper's ablations do: the ``basic`` diagnoser runs the global
@@ -16,7 +16,7 @@ holds it to weaker invariants (``exact = False``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Sequence
 
 from repro.core.config import QFixConfig
@@ -37,11 +37,10 @@ class CellSpec:
     diagnoser: str = "incremental"
     solver: str = "highs"
     use_presolve: bool = True
-    warm: bool = False
     #: Route this cell through the decompose-and-conquer pipeline (log
-    #: compaction + connected-component splitting).  An axis like ``warm``:
-    #: the decomposition differential oracle compares each decomposed cell
-    #: against its monolithic twin.
+    #: compaction + connected-component splitting).  The decomposition
+    #: differential oracle compares each decomposed cell against its
+    #: monolithic twin.
     decompose: bool = False
     #: Per-solve time limit for this cell (bounds worst-case sweep time).
     time_limit: float = 30.0
@@ -52,8 +51,6 @@ class CellSpec:
         parts = [self.scenario.label(), self.diagnoser, self.solver]
         if not self.use_presolve:
             parts.append("nopresolve")
-        if self.warm:
-            parts.append("warm")
         if self.decompose:
             parts.append("decomposed")
         return "|".join(parts)
@@ -79,17 +76,12 @@ class CellSpec:
             time_limit=self.time_limit,
         )
 
-    def cold_twin(self) -> "CellSpec":
-        """The cold cell a warm cell re-runs (identity minus the warm flag)."""
-        return replace(self, warm=False)
-
     def to_dict(self) -> dict[str, object]:
         return {
             "scenario": self.scenario.to_dict(),
             "diagnoser": self.diagnoser,
             "solver": self.solver,
             "use_presolve": self.use_presolve,
-            "warm": self.warm,
             "decompose": self.decompose,
             "time_limit": self.time_limit,
         }
@@ -101,7 +93,6 @@ def expand_cells(
     diagnosers: Sequence[str] = ("incremental",),
     solvers: Sequence[str] = ("highs",),
     presolve: Sequence[bool] = (True,),
-    warm: Sequence[bool] = (False,),
     decompose: Sequence[bool] = (False,),
     time_limit: float = 30.0,
 ) -> list[CellSpec]:
@@ -111,19 +102,17 @@ def expand_cells(
         for diagnoser in diagnosers:
             for solver in solvers:
                 for use_presolve in presolve:
-                    for is_warm in warm:
-                        for is_decomposed in decompose:
-                            cells.append(
-                                CellSpec(
-                                    scenario=scenario,
-                                    diagnoser=diagnoser,
-                                    solver=solver,
-                                    use_presolve=use_presolve,
-                                    warm=is_warm,
-                                    decompose=is_decomposed,
-                                    time_limit=time_limit,
-                                )
+                    for is_decomposed in decompose:
+                        cells.append(
+                            CellSpec(
+                                scenario=scenario,
+                                diagnoser=diagnoser,
+                                solver=solver,
+                                use_presolve=use_presolve,
+                                decompose=is_decomposed,
+                                time_limit=time_limit,
                             )
+                        )
     return cells
 
 
@@ -163,7 +152,7 @@ def _micro_grid(seed: int) -> list[CellSpec]:
     """A minimal differential slice: 2 scenarios x {basic,incremental} x {highs,bnb}.
 
     Small enough for tier-1 tests and the golden report; still crosses every
-    differential oracle (backend agreement, presolve/warm invariance via the
+    differential oracle (backend agreement, presolve invariance via the
     smoke grid, incremental-vs-basic convergence).
     """
     scenarios = [
@@ -197,7 +186,7 @@ def _smoke_grid(seed: int) -> list[CellSpec]:
 
     Six scenarios (three workload families, four corruption classes, early /
     late / spread placement, complete and incomplete complaint sets) crossed
-    with both diagnosers and both MILP backends, plus presolve-off, warm, and
+    with both diagnosers and both MILP backends, plus presolve-off and
     dectree riders on the first synthetic scenario.
     """
     base = dict(n_tuples=25, n_queries=8, seed=seed)
@@ -221,13 +210,6 @@ def _smoke_grid(seed: int) -> list[CellSpec]:
         diagnosers=("incremental",),
         solvers=("highs",),
         presolve=(False,),
-        time_limit=20.0,
-    )
-    cells += expand_cells(
-        [riders_on],
-        diagnosers=("incremental",),
-        solvers=("highs", "branch-and-bound"),
-        warm=(True,),
         time_limit=20.0,
     )
     cells += expand_cells(
@@ -287,7 +269,6 @@ def _full_grid(seed: int) -> list[CellSpec]:
         diagnosers=("incremental",),
         solvers=("highs",),
         presolve=(False,),
-        warm=(False, True),
         time_limit=30.0,
     )
     return cells

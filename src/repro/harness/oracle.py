@@ -6,10 +6,10 @@ for every cell of the matrix, whatever the scenario:
 * **resolution** — a feasible repair from an exact (MILP-backed) diagnoser,
   replayed over the initial state, resolves every reported complaint
   (Theorem 1 territory: the encoding is sound).
-* **agreement** — cells that differ only in solver backend, presolve, or warm
-  start (same scenario, same diagnoser) agree on feasibility and on repair
-  quality (the minimized parameter-space distance): both backends solve the
-  same MILP to optimality, and presolve / warm starts are quality-preserving.
+* **agreement** — cells that differ only in solver backend or presolve (same
+  scenario, same diagnoser) agree on feasibility and on repair quality (the
+  minimized parameter-space distance): both backends solve the same MILP to
+  optimality, and presolve is quality-preserving.
 * **convergence** — on single-fault scenarios, the windowed incremental
   search finds a repair whenever the global basic encoding does (Section 5.4:
   the window walk degenerates to basic at the latest when it reaches the
@@ -155,7 +155,7 @@ def _differential_groups(
 def check_agreement(
     rows: Iterable[tuple[CellSpec, CellResult]],
 ) -> list[OracleViolation]:
-    """Backend / presolve / warm-start agreement within each differential group."""
+    """Backend / presolve agreement within each differential group."""
     violations: list[OracleViolation] = []
     for (scenario_label, diagnoser), members in _differential_groups(rows).items():
         if len(members) < 2:
@@ -206,7 +206,7 @@ def check_convergence(
     violations: list[OracleViolation] = []
     by_scenario: dict[str, dict[str, tuple[CellSpec, CellResult]]] = {}
     for cell, row in rows:
-        if row.skipped or not row.ok or cell.warm or not cell.use_presolve:
+        if row.skipped or not row.ok or not cell.use_presolve:
             continue
         if cell.solver != "highs" or not cell.exact or not _made_a_claim(row):
             continue
@@ -245,7 +245,7 @@ def check_decomposition(
     monolith ran out of budget is the point, not a violation.
     """
     violations: list[OracleViolation] = []
-    twins: dict[tuple[str, str, str, bool, bool], dict[bool, tuple[CellSpec, CellResult]]] = {}
+    twins: dict[tuple[str, str, str, bool], dict[bool, tuple[CellSpec, CellResult]]] = {}
     for cell, row in rows:
         if row.skipped or not row.ok or not cell.exact or not _made_a_claim(row):
             continue
@@ -254,7 +254,6 @@ def check_decomposition(
             cell.diagnoser,
             cell.solver,
             cell.use_presolve,
-            cell.warm,
         )
         twins.setdefault(key, {})[cell.decompose] = (cell, row)
     for pair in twins.values():

@@ -52,7 +52,6 @@ class CellResult:
     diagnoser: str = ""
     solver: str = ""
     use_presolve: bool = True
-    warm: bool = False
     decompose: bool = False
     ok: bool = False
     feasible: bool = False
@@ -99,7 +98,6 @@ class CellResult:
             "diagnoser": self.diagnoser,
             "solver": self.solver,
             "use_presolve": self.use_presolve,
-            "warm": self.warm,
             "decompose": self.decompose,
             "ok": self.ok,
             "feasible": self.feasible,
@@ -133,7 +131,6 @@ class CellResult:
             diagnoser=str(data.get("diagnoser", "")),
             solver=str(data.get("solver", "")),
             use_presolve=bool(data.get("use_presolve", True)),
-            warm=bool(data.get("warm", False)),
             decompose=bool(data.get("decompose", False)),
             ok=bool(data.get("ok", False)),
             feasible=bool(data.get("feasible", False)),

@@ -10,11 +10,8 @@ Execution is organized scenario by scenario:
 
 1. each distinct :class:`~repro.workload.spec.ScenarioSpec` is materialized
    once (and fingerprinted) no matter how many cells share it;
-2. the scenario's cold cells go through ``run_matrix`` in one batch;
-3. its warm cells go through a second ``run_matrix`` — their requests are
-   identical to their cold twins', so the engine's warm-start cache is
-   guaranteed hot and the cells measure the warm path deterministically;
-4. the per-cell and cross-cell oracles run over everything that executed.
+2. the scenario's cells go through ``run_matrix`` in one batch;
+3. the per-cell and cross-cell oracles run over everything that executed.
 
 A time budget cuts the sweep between scenario batches: cells that never ran
 are reported as ``skipped`` (never as violations), so a budgeted CI run stays
@@ -103,20 +100,12 @@ class HarnessRunner:
                     )
                 continue
 
-            cold = [cell for cell in group if not cell.warm]
-            warm = [cell for cell in group if cell.warm]
-            responses: dict[str, DiagnosisResponse] = {}
-            for phase in (cold, warm):
-                if not phase:
-                    continue
-                responses.update(
-                    self.engine.run_matrix(
-                        [(cell.cell_id, _cell_request(cell, scenario)) for cell in phase],
-                        max_workers=max_workers,
-                        executor=executor,
-                        max_inflight=max_inflight,
-                    )
-                )
+            responses = self.engine.run_matrix(
+                [(cell.cell_id, _cell_request(cell, scenario)) for cell in group],
+                max_workers=max_workers,
+                executor=executor,
+                max_inflight=max_inflight,
+            )
 
             for cell in group:
                 response = responses[cell.cell_id]
@@ -186,7 +175,6 @@ def _skipped_row(
         diagnoser=cell.diagnoser,
         solver=cell.solver,
         use_presolve=cell.use_presolve,
-        warm=cell.warm,
         decompose=cell.decompose,
         status=reason,
         skipped=True,
@@ -213,7 +201,6 @@ def _result_row(
         diagnoser=cell.diagnoser,
         solver=cell.solver,
         use_presolve=cell.use_presolve,
-        warm=cell.warm,
         decompose=cell.decompose,
         ok=response.ok,
         feasible=response.feasible,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +43,7 @@ from repro.milp.expr import LinExpr
 from repro.milp.model import Model, difference
 from repro.milp.presolve import presolve
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.solvers.base import Solver, solve_with_warm_start
+from repro.milp.solvers.base import Solver
 from repro.milp.variables import Variable
 from repro.obs import trace as obs
 
@@ -414,9 +414,7 @@ class DecomposingSolver(Solver):
             return None
         return max(0.0, deadline - time.perf_counter())
 
-    def solve(
-        self, model: Model, *, warm_start: Mapping[str, float] | None = None
-    ) -> Solution:
+    def solve(self, model: Model) -> Solution:
         start = time.perf_counter()
         deadline = start + self.time_limit if self.time_limit is not None else None
 
@@ -451,18 +449,13 @@ class DecomposingSolver(Solver):
             # Nothing to fan out: the inner backend solves the whole model
             # (its own presolve re-derives anything the split computed).
             inner = self._inner_solver(self._remaining(deadline))
-            solution = solve_with_warm_start(
-                inner, model, dict(warm_start) if warm_start else None
-            )
+            solution = inner.solve(model)
             solution.stats.update(stats)
             solution.solver_name = self.name
             solution.solve_seconds = time.perf_counter() - start
             return solution
 
-        tasks = [
-            self._component_task(submodel, _component_hint(warm_start, submodel), deadline)
-            for submodel in split.components
-        ]
+        tasks = [self._component_task(submodel, deadline) for submodel in split.components]
         if self.scheduler is not None:
             results = self.scheduler.map(tasks)
         else:
@@ -475,10 +468,7 @@ class DecomposingSolver(Solver):
         return merged
 
     def _component_task(
-        self,
-        submodel: SubModel,
-        hint: "dict[str, float] | None",
-        deadline: float | None,
+        self, submodel: SubModel, deadline: float | None
     ) -> Callable[[], Solution]:
         def run() -> Solution:
             remaining = self._remaining(deadline)
@@ -495,7 +485,7 @@ class DecomposingSolver(Solver):
                     variables=submodel.model.num_variables,
                 ):
                     inner = self._inner_solver(remaining)
-                    return solve_with_warm_start(inner, submodel.model, hint)
+                    return inner.solve(submodel.model)
             except Exception as error:  # noqa: BLE001 - a component must never
                 # take down its siblings; the merge reports the error status.
                 return Solution(
@@ -506,26 +496,3 @@ class DecomposingSolver(Solver):
 
         return run
 
-
-def _component_hint(
-    warm_start: Mapping[str, float] | None, submodel: SubModel
-) -> dict[str, float] | None:
-    """Partition a whole-model warm start down to one component.
-
-    The hint is kept only when it covers every variable of the component and
-    respects the (possibly presolve-tightened) cloned bounds — mirroring
-    :meth:`EncodedProblem.solution_hint`, a stale value for a variable that
-    was pinned or folded away must never seed an incumbent.
-    """
-    if not warm_start:
-        return None
-    hint: dict[str, float] = {}
-    for variable in submodel.model.variables:
-        value = warm_start.get(variable.name)
-        if value is None:
-            return None
-        value = float(value)
-        if value < variable.lower - _ROW_TOLERANCE or value > variable.upper + _ROW_TOLERANCE:
-            return None
-        hint[variable.name] = value
-    return hint

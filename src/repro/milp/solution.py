@@ -39,8 +39,8 @@ class Solution:
     solve_seconds: float = 0.0
     solver_name: str = ""
     message: str = ""
-    #: Backend-specific solve statistics (node counts, presolve reductions,
-    #: whether a warm start seeded the incumbent).  Purely informational.
+    #: Backend-specific solve statistics (node counts, presolve
+    #: reductions).  Purely informational.
     stats: dict[str, float] = field(default_factory=dict)
 
     def __bool__(self) -> bool:

@@ -8,18 +8,15 @@ Choosing a backend
     its own presolve, once per model through the binding SciPy ships
     (``scipy.optimize._highspy._core``, the one ``scipy.optimize.milp``
     wraps), with the feasibility-jump heuristic off.  Fastest to optimality
-    on every workload we benchmark; the only reasons to switch away are
-    debuggability (it is a black box per solve) and warm starts (hints are
-    accepted but ignored, so repeated session diagnoses pay full price).
+    on every workload we benchmark; the only reason to switch away is
+    debuggability (it is a black box per solve).
 
 ``branch-and-bound`` (:class:`BranchAndBoundSolver`)
     Pure-Python best-first branch-and-bound over HiGHS LP relaxations.
     Slower per node, but fully inspectable (``Solution.stats`` reports node
-    counts and presolve reductions) and warm-startable: a feasible assignment
-    from a previous solve seeds the incumbent, which prunes most of the tree
-    when the instance barely changed.  Prefer it for incremental/session
-    workloads dominated by near-identical re-solves, and in tests that need
-    to observe solver behaviour rather than just the answer.
+    counts and presolve reductions), and the differential reference the
+    oracles compare HiGHS against.  Prefer it in tests that need to observe
+    solver behaviour rather than just the answer.
 
 ``decomposed`` (:class:`~repro.milp.decompose.DecomposingSolver`)
     A meta-backend for long-history encodings: it splits the model into
@@ -56,7 +53,7 @@ Component solutions recombine under a *worst-status-wins* precedence:
   objective is re-evaluated on the original model, never summed from parts.
 """
 
-from repro.milp.solvers.base import Solver, finalize_solution_values, solve_with_warm_start
+from repro.milp.solvers.base import Solver, finalize_solution_values
 from repro.milp.solvers.scipy_backend import HighsSolver
 from repro.milp.solvers.branch_and_bound import BranchAndBoundSolver
 from repro.milp.solvers.registry import available_solvers, get_solver, register_solver
@@ -71,5 +68,4 @@ __all__ = [
     "register_solver",
     "available_solvers",
     "finalize_solution_values",
-    "solve_with_warm_start",
 ]

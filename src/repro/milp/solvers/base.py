@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-import inspect
 import warnings
 from typing import Mapping
 
@@ -27,43 +26,11 @@ class Solver(abc.ABC):
         self.mip_gap = mip_gap
 
     @abc.abstractmethod
-    def solve(
-        self, model: Model, *, warm_start: Mapping[str, float] | None = None
-    ) -> Solution:
-        """Solve ``model`` (minimization) and return a :class:`Solution`.
-
-        ``warm_start`` is an optional full variable assignment (keyed by
-        variable name) from a previous solve of a structurally identical
-        model.  Backends that can exploit it seed their incumbent from it
-        after verifying feasibility; backends that cannot must accept and
-        ignore it.  An incomplete or infeasible hint is silently discarded —
-        a warm start may never change which solution is optimal.
-        """
+    def solve(self, model: Model) -> Solution:
+        """Solve ``model`` (minimization) and return a :class:`Solution`."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(time_limit={self.time_limit}, mip_gap={self.mip_gap})"
-
-
-def accepts_keyword(callable_obj: object, name: str) -> bool:
-    """Whether ``callable_obj`` can be called with keyword argument ``name``.
-
-    Used to forward warm-start hints only to implementations that understand
-    them: third-party solvers/diagnosers registered before the warm-start API
-    existed keep working — they just solve cold.
-    """
-    parameters = inspect.signature(callable_obj).parameters
-    return name in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in parameters.values()
-    )
-
-
-def solve_with_warm_start(
-    solver: Solver, model: Model, warm_start: Mapping[str, float] | None
-) -> Solution:
-    """Call ``solver.solve``, forwarding ``warm_start`` only when supported."""
-    if warm_start is not None and accepts_keyword(solver.solve, "warm_start"):
-        return solver.solve(model, warm_start=warm_start)
-    return solver.solve(model)
 
 
 def finalize_solution_values(

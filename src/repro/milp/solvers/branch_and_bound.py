@@ -10,16 +10,13 @@ with the LP hot path factored into :mod:`repro.milp.relaxation`:
 
 1. run the matrix presolve (bound tightening, fixed-variable elimination,
    big-M tightening, trivial-infeasibility screening) once per model;
-2. optionally seed the incumbent from a caller-provided warm start —
-   including *partial* hints, which are completed from presolve-pinned
-   bounds when that yields a feasible point;
-3. pop up to ``lp_batch_size`` frontier nodes per iteration and solve their
+2. pop up to ``lp_batch_size`` frontier nodes per iteration and solve their
    relaxations concurrently through the shared
    :class:`~repro.milp.relaxation.RelaxationEngine` pool (HiGHS releases
    the GIL); when a relaxation is integral record it as the incumbent,
    otherwise branch on the most fractional integer variable, pruning nodes
    whose bound cannot beat the incumbent;
-4. after branching, try to *inherit* the parent's LP optimum into each
+3. after branching, try to *inherit* the parent's LP optimum into each
    child (clamp the branching variable to the child bound, verify row
    feasibility via one sparse column delta): a child whose optimum is
    proven this way never pays an LP solve (``lp_skipped``).
@@ -39,28 +36,19 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from repro.milp.model import Model
 from repro.milp.presolve import presolve
-from repro.milp.relaxation import LPOutcome, RelaxationEngine, split_constraints
+from repro.milp.relaxation import LPOutcome, RelaxationEngine
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers.base import Solver, finalize_solution_values
 from repro.obs import trace as obs
 
 #: Tolerance within which a relaxation value counts as integral.
 INTEGRALITY_TOLERANCE = 1e-6
-
-#: Bound width below which a presolved variable counts as pinned (used when
-#: completing partial warm-start hints).
-_PIN_TOLERANCE = 1e-9
-
-#: Re-exported for the benchmarks, which measure the legacy per-row split
-#: against the vectorized one; the implementation lives in
-#: :mod:`repro.milp.relaxation` now.
-_split_constraints = split_constraints
 
 
 @dataclass(order=True)
@@ -100,9 +88,7 @@ class BranchAndBoundSolver(Solver):
         #: iteration; 1 restores strict one-node-at-a-time best-first order.
         self.lp_batch_size = max(1, int(lp_batch_size))
 
-    def solve(
-        self, model: Model, *, warm_start: Mapping[str, float] | None = None
-    ) -> Solution:
+    def solve(self, model: Model) -> Solution:
         start = time.perf_counter()
         matrices = model.to_matrices()
         n = len(matrices["c"])
@@ -138,15 +124,6 @@ class BranchAndBoundSolver(Solver):
 
         incumbent_x: np.ndarray | None = None
         incumbent_obj = np.inf
-        stats["warm_start_partial"] = 0.0
-        stats["warm_start_discarded"] = 0.0
-        warm_seeded = self._seed_incumbent(
-            model, warm_start, matrices["lb_var"], matrices["ub_var"], stats
-        )
-        if warm_seeded is not None:
-            incumbent_obj, incumbent_x = warm_seeded
-        stats["warm_start_used"] = 1.0 if warm_seeded is not None else 0.0
-
         counter = itertools.count()
         explored = 0
         incumbent_updates = 0
@@ -302,64 +279,6 @@ class BranchAndBoundSolver(Solver):
             up_lower = node.lower.copy()
             up_lower[branch_index] = floor_value + 1.0
             yield _Node(bound, next(counter), up_lower, node.upper.copy())
-
-    def _seed_incumbent(
-        self,
-        model: Model,
-        warm_start: Mapping[str, float] | None,
-        lb_var: np.ndarray,
-        ub_var: np.ndarray,
-        stats: dict[str, float],
-    ) -> tuple[float, np.ndarray] | None:
-        """Validate a warm-start hint and return ``(objective, x)`` if usable.
-
-        A *partial* hint — the common case after decomposition, where
-        :meth:`EncodedProblem.solution_hint` filters hints per component —
-        is completed from presolve-pinned bounds: a missing variable whose
-        (tightened) bounds coincide takes its pinned value.  A missing
-        variable that is genuinely free, an integrality violation, or a
-        constraint violation of the completed point discards the hint, so a
-        stale hint can never corrupt the search.  ``warm_start_partial`` /
-        ``warm_start_discarded`` record which path was taken.
-        """
-        if not warm_start:
-            return None
-        values: dict[str, float] = {}
-        completed = 0
-        for variable in model.variables:
-            if variable.name in warm_start:
-                value = float(warm_start[variable.name])
-            else:
-                lower = float(lb_var[variable.index])
-                upper = float(ub_var[variable.index])
-                if upper - lower > _PIN_TOLERANCE:
-                    stats["warm_start_discarded"] = 1.0
-                    return None
-                value = (lower + upper) / 2.0
-                completed += 1
-            if variable.is_integral:
-                rounded = float(round(value))
-                if abs(value - rounded) > INTEGRALITY_TOLERANCE:
-                    stats["warm_start_discarded"] = 1.0
-                    return None
-                value = rounded
-            values[variable.name] = value
-        if model.check_assignment(values):
-            stats["warm_start_discarded"] = 1.0
-            return None
-        if completed:
-            stats["warm_start_partial"] = 1.0
-        x = np.empty(model.num_variables)
-        for variable in model.variables:
-            x[variable.index] = values[variable.name]
-        # The incumbent objective must live in LP space (c @ x, no constant
-        # term): node relaxation objectives come from linprog, which never
-        # sees the objective's constant, and pruning compares the two.
-        objective = sum(
-            coefficient * values[variable.name]
-            for variable, coefficient in model.objective.terms.items()
-        )
-        return float(objective), x
 
     def _remaining_time(self, start: float) -> float | None:
         if self.time_limit is None:

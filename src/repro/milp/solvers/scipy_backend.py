@@ -179,16 +179,7 @@ class HighsSolver(Solver):
         super().__init__(time_limit=time_limit, mip_gap=mip_gap)
         self.use_presolve = use_presolve
 
-    def solve(
-        self, model: Model, *, warm_start: Mapping[str, float] | None = None
-    ) -> Solution:
-        """Solve ``model``; ``warm_start`` is accepted but unused.
-
-        The binding could pass the hint to HiGHS (``setSolution``), but
-        hints stay ignored: no workload measured here gains from a warm
-        start, and warm starts are slated for removal.  The hint is accepted
-        so that callers can pass the same hint to any registered backend.
-        """
+    def solve(self, model: Model) -> Solution:
         start = time.perf_counter()
         matrices = model.to_matrices()
         num_variables = len(matrices["c"])

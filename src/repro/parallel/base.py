@@ -11,20 +11,19 @@ want the zero-overhead serial path.
 The moving parts:
 
 * :class:`BatchItem` — one request as the *scheduler* sees it: the live
-  :class:`~repro.service.types.DiagnosisRequest` plus its input position,
-  shard key, warm-start hint, and the shard it was submitted to.  Local
-  strategies execute it directly.
+  :class:`~repro.service.types.DiagnosisRequest` plus its input position and
+  the shard it was submitted to.  Local strategies execute it directly.
 * :class:`WorkUnit` — the picklable envelope the *process* strategy ships to
   a worker: the serialized request payload (JSON-native, via
   ``DiagnosisRequest.to_dict``), the engine's default config payload being
-  implicit in the worker initializer, and the warm-start hint.
+  implicit in the worker initializer.
 * :class:`Executor` — ``submit(item) -> Future`` plus lifecycle hooks.  The
   scheduler (:mod:`repro.parallel.scheduler`) drives any strategy through the
   same bounded-window streaming loop.
 
 Strategies are bound to an engine with :meth:`Executor.bind` before first
 use; binding twice to different engines is an error (an executor owns
-per-engine state such as pools and shard maps).
+per-engine state such as pools).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import abc
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 from repro.exceptions import ReproError
 
@@ -43,20 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 @dataclass
 class BatchItem:
-    """One scheduled request: position, payload, routing, and retry state."""
+    """One scheduled request: position, payload, shard, and retry state."""
 
     #: Position in the input batch (responses are re-ordered by this).
     index: int
     #: The live request object (local strategies execute it directly).
     request: "DiagnosisRequest"
-    #: Routing key: requests with equal keys share an affine process shard,
-    #: so a repeat diagnosis reuses that worker's local warm-start LRU unless
-    #: another shard has fewer units in flight.
-    shard_key: Hashable = None
     #: The shard the process strategy actually submitted the item to.
     shard: int | None = None
-    #: Warm-start hint from the parent engine's cache, forwarded to workers.
-    warm_hint: dict[str, float] | None = None
     #: Submission attempts so far (bounded retry after a worker crash).
     attempts: int = 0
     #: Trace context (:class:`repro.obs.trace.ContextHandle`) when the batch
@@ -74,17 +67,15 @@ class WorkUnit:
 
     Everything here is pickle-safe by construction: ``payload`` is the
     JSON-native ``DiagnosisRequest.to_dict()`` form (the per-request config
-    override rides inside it), ``warm_hint`` is a plain name→value mapping,
-    and ``shard`` is the resolved shard index.  The worker-side engine's
-    *default* config is shipped once per worker through the pool initializer,
-    not per unit.
+    override rides inside it) and ``shard`` is the resolved shard index.
+    The worker-side engine's *default* config is shipped once per worker
+    through the pool initializer, not per unit.
     """
 
     index: int
     request_id: str
     payload: dict[str, Any]
     shard: int = 0
-    warm_hint: dict[str, float] | None = field(default=None)
     #: Picklable trace context (``{trace_id, parent_span_id}``) so the worker
     #: process continues the parent's trace across the pickle boundary.
     trace_context: dict[str, str] | None = field(default=None)
@@ -99,12 +90,6 @@ class Executor(abc.ABC):
 
     #: Registry name; subclasses override.
     name: str = "?"
-
-    #: Whether the strategy routes by :attr:`BatchItem.shard_key` (and ships
-    #: :attr:`BatchItem.warm_hint` across a boundary).  Strategies that
-    #: execute in-process leave this ``False`` so the engine skips computing
-    #: fingerprints it would recompute at diagnosis time anyway.
-    uses_shard_routing: bool = False
 
     def __init__(self) -> None:
         self._engine: "DiagnosisEngine | None" = None

@@ -1,13 +1,13 @@
 """In-process execution strategies: ``serial`` and ``thread``.
 
 Both run :meth:`DiagnosisEngine.submit` on the parent engine, so they share
-its warm-start LRU and its per-request error isolation (``submit`` never
-raises).  ``serial`` executes inline at submit time — zero scheduling
-overhead, deterministic ordering, the right choice for tiny batches and
-debugging.  ``thread`` fans out over one shared :class:`ThreadPoolExecutor`;
-it helps when solves release the GIL (HiGHS spends its time inside native
-scipy code) but serializes on CPU-bound pure-Python solves — that is what the
-``process`` strategy is for.
+its per-request error isolation (``submit`` never raises).  ``serial``
+executes inline at submit time — zero scheduling overhead, deterministic
+ordering, the right choice for tiny batches and debugging.  ``thread`` fans
+out over one shared :class:`ThreadPoolExecutor`; it helps when solves
+release the GIL (HiGHS spends its time inside native scipy code) but
+serializes on CPU-bound pure-Python solves — that is what the ``process``
+strategy is for.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The ``process`` execution strategy: load-balanced, key-affine worker processes.
+"""The ``process`` execution strategy: load-balanced worker processes.
 
 Why processes: the branch-and-bound MILP backend is pure Python, so a
 CPU-bound batch on threads serializes on the GIL and throughput stays
@@ -8,16 +8,13 @@ boundary.
 
 Routing: the strategy keeps **one single-worker pool per shard** and counts
 the units each shard has in flight, from submit until the unit's future
-completes.  Each :class:`~repro.parallel.base.BatchItem` has an *affine*
-shard, picked by its shard key — the same (diagnoser, config, log
-fingerprint) triple the engine's warm cache is keyed by — so a repeat
-diagnosis goes back to the worker whose local warm LRU solved it last time
-whenever that worker is no busier than the others.  Where load and affinity
-conflict, load wins: a unit goes to the shard with the fewest units in
-flight, so a batch whose expensive keys all landed on one shard still keeps
-every core busy.  A warm repeat saves little next to a queue — the
-branch-and-bound search explores the same nodes warm or cold.  The shard a
-unit was actually submitted to is recorded on its batch item.
+completes.  A unit goes to the shard with the fewest units in flight, ties
+going to shard ``index % shards`` (``index`` is the unit's position in its
+batch), so every core stays busy however the expensive requests of a batch
+are spread.  Workers keep nothing from one unit to the next, so no request
+gains from landing on the shard that served it before.  The shard a unit
+was actually submitted to is recorded on its
+:class:`~repro.parallel.base.BatchItem`.
 
 Worker lifecycle and crash isolation:
 
@@ -49,7 +46,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any
 
-from repro.durability.shards import FirstSeenRouter
 from repro.obs import logs as obs_logs
 from repro.obs import trace as obs
 from repro.parallel.base import BatchItem, Executor, WorkUnit
@@ -128,11 +124,6 @@ def _run_unit(unit: WorkUnit) -> "DiagnosisResponse":
         request = DiagnosisRequest.from_dict(unit.payload)
     except Exception as error:  # noqa: BLE001 - isolation boundary
         return DiagnosisResponse.from_error(unit.request_id, "", error)
-    if unit.warm_hint:
-        try:
-            engine.seed_warm(request, unit.warm_hint)
-        except Exception:  # noqa: BLE001 - a bad hint must never sink the unit
-            pass
     with obs.remote_context(unit.trace_context) as collector:
         response = engine.submit(request)
     response.trace_spans = collector.export()
@@ -149,11 +140,9 @@ def _run_unit(unit: WorkUnit) -> "DiagnosisResponse":
 
 
 class ProcessExecutor(Executor):
-    """Process fan-out over one single-worker pool per shard, routed by load
-    first and by key affinity second."""
+    """Process fan-out over one single-worker pool per shard, routed by load."""
 
     name = "process"
-    uses_shard_routing = True
 
     #: One retry on a rebuilt pool after a worker crash.
     MAX_ATTEMPTS = 2
@@ -164,15 +153,9 @@ class ProcessExecutor(Executor):
         self._fallback = _cpu_count() <= 1 and not force
         if self._fallback:
             _warn_single_core_once()
-            # Inline execution goes through the engine's own cache lookup;
-            # parent-side fingerprinting would be pure overhead.
-            self.uses_shard_routing = False
         self._pools: list[ProcessPoolExecutor | None] = [None] * max_workers
         self._pools_lock = threading.Lock()
         self._config_payload: dict[str, Any] | None = None
-        # First-seen round-robin affine shards, shared with the durable
-        # session tier (see repro.durability.shards for why not hash()).
-        self._router = FirstSeenRouter(max_workers)
         # Units submitted to each shard whose futures have not completed.
         self._inflight = [0] * max_workers
         self._inflight_lock = threading.Lock()
@@ -187,15 +170,11 @@ class ProcessExecutor(Executor):
     # -- shard pools ---------------------------------------------------------------
 
     def _shard_for(self, item: BatchItem) -> int:
-        """``item``'s affine shard, unless another shard has fewer in flight."""
-        key = item.shard_key
-        if key is None:
-            affine = item.index % self.max_workers
-        else:
-            affine = self._router.shard_for(key)
+        """The shard with the fewest units in flight, ties to ``index % shards``."""
+        default = item.index % self.max_workers
         load = self._inflight
         least = min(range(self.max_workers), key=load.__getitem__)
-        return least if load[least] < load[affine] else affine
+        return least if load[least] < load[default] else default
 
     def _claim(self, item: BatchItem) -> int:
         """Route ``item`` and count it in flight on the chosen shard."""
@@ -259,7 +238,6 @@ class ProcessExecutor(Executor):
             request_id=item.request_id,
             payload=payload,
             shard=shard,
-            warm_hint=item.warm_hint,
             trace_context=trace_context,
         )
         if retry:
@@ -296,9 +274,9 @@ class ProcessExecutor(Executor):
         if not isinstance(error, BrokenProcessPool):
             return False
         if item.attempts == 1:
-            # The crash broke the pool the item was submitted to (which load
-            # routing may have chosen over its affine shard); rebuild it so
-            # retries and everything queued behind them land on a fresh worker.
+            # The crash broke the pool the item was submitted to; rebuild it
+            # so retries and everything queued behind them land on a fresh
+            # worker.
             self._discard_pool(item.shard)
         # attempts >= 2 means the crash happened on the item's *quarantine*
         # pool — the shard pool was already rebuilt and may be serving

@@ -23,6 +23,10 @@ Where the work actually runs is pluggable (:mod:`repro.parallel`): the
 thread pool — fine when solves release the GIL), or ``process``
 (load-balanced worker processes for the CPU-bound pure-Python solver, where
 threads would serialize on the GIL).
+
+Like the paper's QFix, every diagnosis encodes and solves a fresh MILP: the
+engine keeps no solution from one request to seed the next, so a request's
+repair never depends on what the engine served before it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.complaints import ComplaintSet
@@ -38,7 +41,6 @@ from repro.core.config import QFixConfig
 from repro.core.repair import RepairResult
 from repro.db.database import Database
 from repro.exceptions import ReproError
-from repro.milp.solvers.base import accepts_keyword
 from repro.milp.solvers import DecomposingSolver, Solver, get_solver
 from repro.obs import trace as obs
 from repro.parallel import (
@@ -102,9 +104,8 @@ class DiagnosisEngine:
         self.max_inflight = max_inflight
         self._executor_spec: "str | Executor" = executor
         # Persistent executors keyed by (strategy name, workers): process
-        # shards — and their worker-local warm caches — survive across
-        # batches, including batches that override the engine's defaults
-        # (the harness's warm second pass depends on this).
+        # shards survive across batches, including batches that override the
+        # engine's defaults, so only the first batch pays the worker spawn.
         self._executors: dict[tuple[str, int], Executor] = {}
         self._executor_lock = threading.Lock()
         # Intra-request fan-out for decomposed solves, created lazily on the
@@ -112,14 +113,6 @@ class DiagnosisEngine:
         # (one pool per engine, sized like the batch tier).
         self._component_scheduler: ComponentScheduler | None = None
         self._shared_solver = solver
-        # Warm-start cache: (diagnoser, config, log/complaint fingerprint)
-        # -> solver assignment of the last feasible repair.  Re-solving the
-        # same encoding then starts from the previous repair instead of
-        # ``-inf``; a stale hit is harmless (hints are validated before use).
-        self._warm_lock = threading.Lock()
-        self._warm_cache: "OrderedDict[Hashable, dict[str, float]]" = OrderedDict()
-        self._warm_hits = 0
-        self._warm_misses = 0
 
     def _solver_for(self, config: QFixConfig) -> Solver:
         if self._shared_solver is not None:
@@ -184,8 +177,8 @@ class DiagnosisEngine:
 
         Executors are cached per (strategy, workers) — including per-call
         overrides — so repeated batches with the same wiring reuse the same
-        pools, worker processes, and worker-local warm caches.  Everything
-        cached is released by :meth:`close`.
+        pools and worker processes.  Everything cached is released by
+        :meth:`close`.
         """
         if spec is None:
             spec = self._executor_spec
@@ -223,69 +216,13 @@ class DiagnosisEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- warm-start cache --------------------------------------------------------
-
-    #: Maximum number of cached warm starts (LRU-evicted beyond this).
-    WARM_CACHE_MAX = 64
-
-    def _warm_lookup(self, key: Hashable) -> dict[str, float] | None:
-        with self._warm_lock:
-            values = self._warm_cache.get(key)
-            if values is None:
-                self._warm_misses += 1
-                return None
-            self._warm_cache.move_to_end(key)
-            self._warm_hits += 1
-            return dict(values)
-
-    def _warm_store(self, key: Hashable, values: Mapping[str, float]) -> None:
-        if not values:
-            return
-        with self._warm_lock:
-            self._warm_cache[key] = dict(values)
-            self._warm_cache.move_to_end(key)
-            while len(self._warm_cache) > self.WARM_CACHE_MAX:
-                self._warm_cache.popitem(last=False)
-
-    def _warm_peek(self, key: Hashable) -> dict[str, float] | None:
-        """Read the cache without touching the hit/miss counters.
-
-        Used when *shipping* hints to process workers: the worker's own
-        lookup is the one that should count, not the parent's peek.
-        """
-        with self._warm_lock:
-            values = self._warm_cache.get(key)
-            return dict(values) if values is not None else None
-
     def warm_cache_info(self) -> dict[str, int]:
-        """Warm-start cache statistics (size, hits, misses)."""
-        with self._warm_lock:
-            return {
-                "size": len(self._warm_cache),
-                "hits": self._warm_hits,
-                "misses": self._warm_misses,
-            }
+        """Cache counters, always zero: the engine caches no solutions.
 
-    def warm_key(self, request: DiagnosisRequest) -> Hashable:
-        """The warm-cache / shard-routing key for ``request``.
-
-        Identical to the key :meth:`diagnose` uses internally — (resolved
-        diagnoser name, effective config, log+complaint fingerprint) — so
-        shard-affine executors route repeats of a request to the worker whose
-        local cache holds its previous solution.
+        Kept only because the benchmark's trace mode (``bench/``) still reads
+        ``{"size": 0, "hits": 0, "misses": 0}`` from it.
         """
-        config = request.config if request.config is not None else self.config
-        name = request.diagnoser if request.diagnoser is not None else config.diagnoser
-        return (name, config, diagnosis_fingerprint(request.log, request.complaints))
-
-    def seed_warm(self, request: DiagnosisRequest, values: Mapping[str, float]) -> None:
-        """Pre-load the warm cache for ``request`` (hint shipped from afar).
-
-        A later :meth:`submit` of the same request starts from ``values``.
-        Bad hints are harmless — solvers validate them before seeding an
-        incumbent — so callers may forward hints speculatively.
-        """
-        self._warm_store(self.warm_key(request), values)
+        return {"size": 0, "hits": 0, "misses": 0}
 
     # -- in-process path ---------------------------------------------------------
 
@@ -299,7 +236,6 @@ class DiagnosisEngine:
         diagnoser: str | None = None,
         config: QFixConfig | None = None,
         solver: Solver | None = None,
-        warm_key: Hashable | None = None,
     ) -> RepairResult:
         """Run one diagnosis and return the :class:`RepairResult`.
 
@@ -308,46 +244,29 @@ class DiagnosisEngine:
         this call (the ``QFix`` facade uses this to keep its historical
         one-solver-per-instance behaviour).  Exceptions propagate to the
         caller — use :meth:`submit` for the never-raises service path.
-
-        The engine keeps a bounded warm-start cache: a repeat diagnosis of
-        the same (log, complaints, config) hands the previous repair's solver
-        assignment to the diagnoser as an incumbent hint.  ``warm_key`` lets
-        long-lived callers (sessions) supply a cheap pre-computed cache key
-        instead of paying the log fingerprint on every call.
         """
         effective = config if config is not None else self.config
         name = diagnoser if diagnoser is not None else effective.diagnoser
         if complaints.is_empty():
             raise ReproError("the complaint set is empty; nothing to diagnose")
         algorithm = get_diagnoser(name)
-        cache_key = (
-            name,
-            effective,
-            warm_key if warm_key is not None else diagnosis_fingerprint(log, complaints),
-        )
-        warm_start = self._warm_lookup(cache_key)
         with obs.span(
             "engine.diagnose",
             diagnoser=name,
             solver=effective.solver,
             queries=len(log),
             complaints=len(complaints),
-            warm_hit=warm_start is not None,
         ) as diag_span:
-            result = _call_diagnoser(
-                algorithm,
+            result = algorithm.diagnose(
                 initial,
                 final,
                 log,
                 complaints,
                 config=effective,
                 solver=solver if solver is not None else self._solver_for(effective),
-                warm_start=warm_start,
             )
             diag_span.set_attribute("feasible", result.feasible)
             diag_span.set_attribute("status", result.status.value)
-        if result.feasible and result.solution_values:
-            self._warm_store(cache_key, result.solution_values)
         return result
 
     # -- service path ------------------------------------------------------------
@@ -423,7 +342,6 @@ class DiagnosisEngine:
         requests: Iterable[DiagnosisRequest],
         window: int,
     ) -> Iterator[tuple[int, DiagnosisResponse]]:
-        routed = executor_obj.uses_shard_routing
         # A detached span (never on the scope stack): the generator's
         # lifetime interleaves with the consumer's own spans, so stack
         # discipline cannot hold.  Batch items carry a handle parenting their
@@ -433,7 +351,7 @@ class DiagnosisEngine:
         )
         handle = obs.handle_for(stream_span)
         items = (
-            self._batch_item(index, request, routed=routed, trace=handle)
+            BatchItem(index=index, request=request, trace=handle)
             for index, request in enumerate(requests)
         )
         served = 0
@@ -449,28 +367,6 @@ class DiagnosisEngine:
         finally:
             stream_span.set_attribute("responses", served)
             stream_span.finish()
-
-    def _batch_item(
-        self,
-        index: int,
-        request: DiagnosisRequest,
-        *,
-        routed: bool,
-        trace: "obs.ContextHandle | None" = None,
-    ) -> BatchItem:
-        if not routed:
-            # Local strategies execute the request in-process, where
-            # :meth:`diagnose` computes its own cache key — fingerprinting
-            # here would just double the hashing cost of the batch.
-            return BatchItem(index=index, request=request, trace=trace)
-        try:
-            key = self.warm_key(request)
-            hint = self._warm_peek(key)
-        except Exception:  # noqa: BLE001 - a malformed request still gets served
-            key, hint = None, None
-        return BatchItem(
-            index=index, request=request, shard_key=key, warm_hint=hint, trace=trace
-        )
 
     def diagnose_batch(
         self,
@@ -564,60 +460,25 @@ class DiagnosisEngine:
 
 
 def diagnosis_fingerprint(log: QueryLog, complaints: ComplaintSet) -> Hashable:
-    """Stable fingerprint of a (log, complaints) pair for warm-start keying.
+    """A hashable fingerprint of a (log, complaints) pair.
 
-    Two calls with the same rendered log and the same complaint targets map
-    to the same key, so a repeat diagnosis reuses the cached solver
-    assignment.  Collisions are merely a performance hazard, never a
-    correctness one: solvers validate hints before seeding an incumbent.
+    Nothing in the program calls it any more.  It is kept only because the
+    benchmark's trace hooks (``bench/hooks.py``) wrap it by name.
     """
-    return (log.render_sql(), complaint_fingerprint(complaints))
-
-
-def complaint_fingerprint(complaints: ComplaintSet) -> Hashable:
-    """Stable fingerprint of a complaint set (rids, targets, dirty presence)."""
-    return tuple(
-        sorted(
-            (
-                complaint.rid,
-                complaint.exists_in_dirty,
-                None
-                if complaint.target is None
-                else tuple(sorted(complaint.target.items())),
+    return (
+        log.render_sql(),
+        tuple(
+            sorted(
+                (
+                    complaint.rid,
+                    complaint.exists_in_dirty,
+                    None
+                    if complaint.target is None
+                    else tuple(sorted(complaint.target.items())),
+                )
+                for complaint in complaints
             )
-            for complaint in complaints
-        )
-    )
-
-
-def _call_diagnoser(
-    algorithm: "object",
-    initial: Database,
-    final: Database,
-    log: QueryLog,
-    complaints: ComplaintSet,
-    *,
-    config: QFixConfig,
-    solver: Solver,
-    warm_start: "dict[str, float] | None",
-) -> RepairResult:
-    """Invoke a diagnoser, forwarding ``warm_start`` only when it accepts it.
-
-    Custom diagnosers registered before the warm-start API existed keep
-    working — they just solve cold.
-    """
-    if warm_start is not None and accepts_keyword(algorithm.diagnose, "warm_start"):
-        return algorithm.diagnose(
-            initial,
-            final,
-            log,
-            complaints,
-            config=config,
-            solver=solver,
-            warm_start=warm_start,
-        )
-    return algorithm.diagnose(
-        initial, final, log, complaints, config=config, solver=solver
+        ),
     )
 
 

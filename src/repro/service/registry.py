@@ -60,14 +60,8 @@ class Diagnoser(Protocol):
         *,
         config: QFixConfig,
         solver: Solver,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
-        """Produce a log repair that resolves ``complaints``.
-
-        ``warm_start`` is an optional solver assignment from a previous run
-        over the same inputs; algorithms that cannot exploit it must accept
-        and ignore it.
-        """
+        """Produce a log repair that resolves ``complaints``."""
         ...
 
 
@@ -85,12 +79,9 @@ class BasicDiagnoser:
         *,
         config: QFixConfig,
         solver: Solver,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
         repairer = BasicRepairer(config, solver)
-        return repairer.repair(
-            final.schema, initial, final, log, complaints, warm_start=warm_start
-        )
+        return repairer.repair(final.schema, initial, final, log, complaints)
 
 
 class IncrementalDiagnoser:
@@ -107,12 +98,9 @@ class IncrementalDiagnoser:
         *,
         config: QFixConfig,
         solver: Solver,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
         repairer = IncrementalRepairer(config, solver)
-        return repairer.repair(
-            final.schema, initial, final, log, complaints, warm_start=warm_start
-        )
+        return repairer.repair(final.schema, initial, final, log, complaints)
 
 
 class AutoDiagnoser:
@@ -129,17 +117,10 @@ class AutoDiagnoser:
         *,
         config: QFixConfig,
         solver: Solver,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
         delegate = IncrementalDiagnoser() if config.single_fault else BasicDiagnoser()
         return delegate.diagnose(
-            initial,
-            final,
-            log,
-            complaints,
-            config=config,
-            solver=solver,
-            warm_start=warm_start,
+            initial, final, log, complaints, config=config, solver=solver
         )
 
 
@@ -164,10 +145,7 @@ class DecTreeDiagnoser:
         *,
         config: QFixConfig,
         solver: Solver,
-        warm_start: "dict[str, float] | None" = None,
     ) -> RepairResult:
-        # DecTree learns a WHERE clause; an MILP assignment cannot seed it,
-        # so ``warm_start`` is accepted and ignored.
         # Imported lazily so the service layer does not pull numpy-heavy
         # baseline code unless the baseline is actually requested.
         from repro.baselines.dectree_repair import DecTreeRepairer

@@ -23,7 +23,7 @@ from repro.exceptions import ReproError
 from repro.queries.executor import apply_query, replay
 from repro.queries.log import QueryLog
 from repro.queries.query import Query
-from repro.service.engine import DiagnosisEngine, complaint_fingerprint
+from repro.service.engine import DiagnosisEngine
 from repro.service.types import DiagnosisRequest, DiagnosisResponse
 
 
@@ -70,11 +70,6 @@ class RepairSession:
         #: cache tests assert this stays flat across append/diagnose cycles.
         self.full_replays = 1
         self._complaints = ComplaintSet()
-        # Monotone log version + a token unique to this session object: the
-        # pair keys the engine's warm-start cache without re-fingerprinting
-        # the whole log on every diagnose call.
-        self._log_version = 0
-        self._warm_token = object()
 
     # -- state access ------------------------------------------------------------
 
@@ -115,7 +110,6 @@ class RepairSession:
         patched = apply_query(self._final, query)
         self._log = self._log.append(query)
         self._final = patched
-        self._log_version += 1
         return self
 
     def extend(self, queries: Iterable[Query]) -> "RepairSession":
@@ -141,7 +135,6 @@ class RepairSession:
             apply_query(staged, query, in_place=True)
         self._log = self._log.extend(items)
         self._final = staged
-        self._log_version += 1
         return self
 
     def accept_repair(self, result: RepairResult) -> "RepairSession":
@@ -160,7 +153,6 @@ class RepairSession:
         self._final = replay(self._initial, self._log)
         self.full_replays += 1
         self._complaints = ComplaintSet()
-        self._log_version += 1
         return self
 
     # -- complaints --------------------------------------------------------------
@@ -201,13 +193,7 @@ class RepairSession:
         diagnoser: str | None = None,
         config: QFixConfig | None = None,
     ) -> RepairResult:
-        """Diagnose the registered complaints against the cached final state.
-
-        Repeated diagnoses of an unchanged session warm-start the solver
-        from the previous repair: the warm key pairs this session's identity
-        and log version with the complaint fingerprint, so the engine skips
-        re-fingerprinting the whole log.
-        """
+        """Diagnose the registered complaints against the cached final state."""
         return self.engine.diagnose(
             self._initial,
             self._final,
@@ -215,11 +201,6 @@ class RepairSession:
             self._complaints,
             diagnoser=diagnoser,
             config=config,
-            warm_key=(
-                self._warm_token,
-                self._log_version,
-                complaint_fingerprint(self._complaints),
-            ),
         )
 
     def submit(self, *, diagnoser: str | None = None) -> DiagnosisResponse:

@@ -225,68 +225,3 @@ class TestComparisonTolerance:
         assert result.parameter_values == {"q1_p": 20.0}
         assert repair_resolves_complaints(initial, result.repaired_log, complaints)
 
-
-class TestSolutionHint:
-    """``EncodedProblem.solution_hint`` gates warm starts per encoding."""
-
-    def _problem(self, schema):
-        initial = Database(schema, [{"a": 10, "b": 0}, {"a": 40, "b": 0}])
-        log = QueryLog(
-            [
-                UpdateQuery(
-                    "t",
-                    {"b": Param("q1_set", 5.0)},
-                    Comparison(Attr("a"), ">=", Param("q1_lo", 35.0)),
-                    label="q1",
-                )
-            ]
-        )
-        dirty = replay(initial, log)
-        complaints = ComplaintSet([Complaint(1, {"a": 40.0, "b": 6.0})])
-        encoder = LogEncoder(
-            schema, initial, dirty, log, complaints, QFixConfig.fully_optimized(),
-            parameterized=[0], rids=[1],
-        )
-        return encoder.encode()
-
-    def test_accepts_a_full_in_bounds_assignment(self, schema):
-        problem = self._problem(schema)
-        solution = SOLVER.solve(problem.model)
-        assert solution.status.has_solution
-        hint = problem.solution_hint(solution.values)
-        assert hint is not None
-        assert set(hint) == {variable.name for variable in problem.model.variables}
-
-    def test_extra_names_are_filtered_not_fatal(self, schema):
-        # A cached solution from a wider encoding (another window or a sibling
-        # component) carries names this model never created; they are dropped.
-        problem = self._problem(schema)
-        solution = SOLVER.solve(problem.model)
-        previous = dict(solution.values)
-        previous["some_other_component_var"] = 123.0
-        hint = problem.solution_hint(previous)
-        assert hint is not None
-        assert "some_other_component_var" not in hint
-
-    def test_partial_assignment_is_rejected(self, schema):
-        problem = self._problem(schema)
-        solution = SOLVER.solve(problem.model)
-        previous = dict(solution.values)
-        previous.pop(next(iter(previous)))
-        assert problem.solution_hint(previous) is None
-
-    def test_bound_violating_value_rejects_the_hint(self, schema):
-        # Regression: a stale cached value outside this encoding's variable
-        # bounds (e.g. the variable was since pinned by compaction/presolve)
-        # must reject the whole hint, not reach the solver.
-        problem = self._problem(schema)
-        solution = SOLVER.solve(problem.model)
-        previous = dict(solution.values)
-        variable = problem.model.variables[0]
-        previous[variable.name] = variable.upper + 1_000.0
-        assert problem.solution_hint(previous) is None
-
-    def test_empty_previous_is_none(self, schema):
-        problem = self._problem(schema)
-        assert problem.solution_hint(None) is None
-        assert problem.solution_hint({}) is None

@@ -1,10 +1,8 @@
-"""Consistent-hash ring stability/balance and first-seen router behaviour."""
-
-import threading
+"""Consistent-hash ring stability and balance."""
 
 import pytest
 
-from repro.durability.shards import FirstSeenRouter, HashRing, stable_hash
+from repro.durability.shards import HashRing, stable_hash
 from repro.exceptions import ReproError
 
 
@@ -56,44 +54,3 @@ class TestHashRing:
         # Consistent hashing: ~1/5 of keys move; modulo hashing would move ~4/5.
         assert moved < 500
 
-
-class TestFirstSeenRouter:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ReproError):
-            FirstSeenRouter(0)
-        with pytest.raises(ReproError):
-            FirstSeenRouter(2, max_keys=0)
-
-    def test_first_seen_round_robin_is_perfectly_balanced(self):
-        router = FirstSeenRouter(3)
-        shards = [router.shard_for(f"k{i}") for i in range(9)]
-        assert sorted(shards) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-
-    def test_repeat_keys_stick(self):
-        router = FirstSeenRouter(4)
-        first = router.shard_for("session-a")
-        for _ in range(10):
-            router.shard_for(f"other-{_}")
-        assert router.shard_for("session-a") == first
-
-    def test_map_is_bounded_with_fifo_eviction(self):
-        router = FirstSeenRouter(2, max_keys=4)
-        for i in range(10):
-            router.shard_for(f"k{i}")
-        assert len(router) == 4
-
-    def test_thread_safety_yields_consistent_assignments(self):
-        router = FirstSeenRouter(4)
-        results: dict[int, set[int]] = {i: set() for i in range(16)}
-
-        def worker() -> None:
-            for i in range(16):
-                results[i].add(router.shard_for(f"key-{i}"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every key got exactly one shard no matter which thread asked first.
-        assert all(len(shards) == 1 for shards in results.values())

@@ -1,11 +1,9 @@
-"""Concurrency hammering: the engine's warm-start LRU and the session store.
+"""Concurrency hammering: the engine's batch fan-out and the session store.
 
 Two stale-result hazards exist in the serving stack:
 
-* the engine's warm-start cache is shared by every thread in
-  ``diagnose_batch`` — a race there could seed a solver with a hint from a
-  different problem (harmless for correctness, but the cache must stay
-  bounded and its bookkeeping coherent), and every response must still be
+* every thread in ``diagnose_batch`` shares one engine — a race there could
+  let one problem's state reach another, and every response must still be
   the optimum of *its own* problem;
 * the HTTP session store caches the last repair for ``accept-repair`` — a
   diagnosis racing a mutation must never leave a stale repair adoptable
@@ -65,7 +63,7 @@ class TestEngineConcurrency:
         engine = DiagnosisEngine(max_workers=8)
         brackets = [85_000.0 + 100.0 * i for i in range(6)]
         requests = []
-        for round_index in range(5):  # repeats share warm keys across rounds
+        for round_index in range(5):  # every problem repeats once per round
             for bracket_index, bracket in enumerate(brackets):
                 request = _tiny_problem(f"p{bracket_index}", bracket)
                 request.request_id = f"r{round_index}-b{bracket_index}"
@@ -80,23 +78,10 @@ class TestEngineConcurrency:
             assert response.request_id == request.request_id
             problem = response.request_id.split("-")[1]
             by_problem.setdefault(problem, set()).add(round(response.distance, 6))
-        # A warm start leaking across problems would surface as a wrong (or
+        # State leaking across problems would surface as a wrong (or
         # inconsistent) optimum for some repeat of the same problem.
         for problem, distances in by_problem.items():
             assert len(distances) == 1, (problem, distances)
-
-        info = engine.warm_cache_info()
-        assert info["size"] <= engine.WARM_CACHE_MAX
-        assert info["hits"] + info["misses"] >= len(requests)
-
-    def test_warm_cache_stays_bounded_under_distinct_load(self):
-        engine = DiagnosisEngine(max_workers=4)
-        requests = [
-            _tiny_problem(f"d{i}", 85_000.0 + 10.0 * i)
-            for i in range(engine.WARM_CACHE_MAX // 8)
-        ]
-        engine.diagnose_batch(requests, max_workers=4)
-        assert engine.warm_cache_info()["size"] <= engine.WARM_CACHE_MAX
 
 
 class TestSessionStoreConcurrency:

@@ -7,9 +7,7 @@ import pytest
 from repro.exceptions import ReproError
 from repro.harness import (
     CellSpec,
-    HarnessRunner,
     available_grids,
-    expand_cells,
     get_grid,
     run_grid,
 )
@@ -56,11 +54,6 @@ class TestGrids:
         assert config.use_presolve is False
         assert config.time_limit == 7.0
         assert "nopresolve" in cell.cell_id
-
-    def test_warm_cell_twin_shares_identity(self):
-        warm = expand_cells([ScenarioSpec()], warm=(True,))[0]
-        assert warm.warm and not warm.cold_twin().warm
-        assert warm.cold_twin().config() == warm.config()
 
 
 class TestRunMatrix:
@@ -251,13 +244,3 @@ class TestOracles:
         violation = OracleViolation("agreement", "cell-1", "boom")
         assert OracleViolation.from_dict(violation.to_dict()) == violation
 
-
-class TestRunnerEngineSharing:
-    def test_runner_uses_provided_engine_and_warms_it(self):
-        engine = DiagnosisEngine()
-        spec = ScenarioSpec(n_tuples=10, n_queries=4, seed=2)
-        cells = expand_cells([spec], warm=(False, True))
-        report = HarnessRunner(engine).run(cells, grid_name="warm", seed=2)
-        assert not report.violations
-        info = engine.warm_cache_info()
-        assert info["hits"] >= 1, info

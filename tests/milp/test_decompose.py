@@ -5,7 +5,6 @@ import pytest
 from repro.milp.decompose import (
     DecomposingSolver,
     ModelSplit,
-    _component_hint,
     merge_solutions,
     split_model,
 )
@@ -196,29 +195,6 @@ class TestDecomposingSolver:
         solver = get_solver("decomposed", inner="highs", time_limit=5.0)
         assert isinstance(solver, DecomposingSolver)
         assert solver.inner == "highs"
-
-
-class TestComponentHint:
-    def _submodel(self):
-        split = split_model(block_model(1), use_presolve=False)
-        return split.components[0]
-
-    def test_full_in_bounds_hint_is_partitioned(self):
-        sub = self._submodel()
-        hint = _component_hint({"x0": 4.0, "y0": 0.0, "unrelated": 1.0}, sub)
-        assert hint == {"x0": 4.0, "y0": 0.0}
-
-    def test_partial_hint_is_rejected(self):
-        sub = self._submodel()
-        assert _component_hint({"x0": 4.0}, sub) is None
-
-    def test_out_of_bounds_hint_is_rejected(self):
-        sub = self._submodel()
-        assert _component_hint({"x0": 99.0, "y0": 0.0}, sub) is None
-
-    def test_empty_hint_is_none(self):
-        assert _component_hint(None, self._submodel()) is None
-        assert _component_hint({}, self._submodel()) is None
 
 
 def integer_block_model(blocks: int = 3) -> Model:

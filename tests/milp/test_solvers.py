@@ -101,11 +101,11 @@ class _RootBoundsSolver(BranchAndBoundSolver):
         self._root_lower = None
         self._root_upper = None
 
-    def solve(self, model, *, warm_start=None):
+    def solve(self, model):
         matrices = model.to_matrices()
         self._root_lower = np.asarray(matrices["lb_var"], dtype=float)
         self._root_upper = np.asarray(matrices["ub_var"], dtype=float)
-        return super().solve(model, warm_start=warm_start)
+        return super().solve(model)
 
     def _child_nodes(self, node, branch_index, floor_value, bound, counter):
         down_upper = node.upper.copy()
@@ -160,113 +160,6 @@ class TestNodeBoundsRegression:
         # The historical root-bounds guard (root box [0, 10]) would have
         # admitted the down branch too: lower=[2] > upper=[1], an empty box
         # costing one LP solve.
-
-
-class TestWarmStart:
-    def test_warm_start_seeds_incumbent_and_reduces_nodes(self):
-        model = _fractionally_capped_model()
-        solver = BranchAndBoundSolver()
-        cold = solver.solve(model)
-        warm = solver.solve(_fractionally_capped_model(), warm_start=cold.values)
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        assert warm.stats["warm_start_used"] == 1.0
-        assert warm.stats["nodes_explored"] <= cold.stats["nodes_explored"]
-
-    def test_infeasible_hint_is_discarded(self):
-        model = _knapsack_model()
-        hint = {"x1": 1.0, "x2": 1.0, "x3": 1.0}  # violates the weight limit
-        solution = BranchAndBoundSolver().solve(model, warm_start=hint)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-10.0)
-        assert solution.stats["warm_start_used"] == 0.0
-
-    def test_partial_hint_with_free_variables_is_discarded(self):
-        # x2/x3 are genuinely free (no presolve pin can complete them), so
-        # the partial hint is still discarded — and now counted as such.
-        solution = BranchAndBoundSolver().solve(_knapsack_model(), warm_start={"x1": 1.0})
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats["warm_start_used"] == 0.0
-        assert solution.stats["warm_start_discarded"] == 1.0
-        assert solution.stats["warm_start_partial"] == 0.0
-
-    def test_fractional_hint_for_integer_variable_is_discarded(self):
-        solution = BranchAndBoundSolver().solve(
-            _knapsack_model(), warm_start={"x1": 0.5, "x2": 1.0, "x3": 1.0}
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats["warm_start_used"] == 0.0
-
-    def test_objective_constant_term_does_not_mislead_pruning(self):
-        # The warm incumbent objective must live in LP space (c @ x, no
-        # constant): seeding with model.objective_value would add the -10
-        # constant, undercut every LP bound, prune the whole tree, and
-        # return the suboptimal hint as OPTIMAL.
-        model = Model()
-        x = model.add_integer("x", 0, 5)
-        model.set_objective(x - 10.0)
-        solution = BranchAndBoundSolver().solve(model, warm_start={"x": 5.0})
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.value("x") == pytest.approx(0.0)
-
-    def test_highs_accepts_and_ignores_hint(self):
-        solution = get_solver("highs").solve(
-            _knapsack_model(), warm_start={"x1": 1.0, "x2": 0.0, "x3": 1.0}
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-10.0)
-
-
-class TestWarmStartCompletion:
-    """Partial hints are completed from presolve-pinned variables (PR 10).
-
-    The engine's warm cache replays assignments from a previous encoding; a
-    re-encoded model often adds variables the hint has never seen, but
-    presolve pins most of them (``lower == upper``), so discarding the whole
-    hint threw away a perfectly good incumbent.
-    """
-
-    @staticmethod
-    def _pinned_model():
-        """y is pinned to 3 by an equality row; x is genuinely free."""
-        model = Model()
-        x = model.add_integer("x", 0, 5)
-        y = model.add_integer("y", 0, 5)
-        model.add_equal(y, 3)
-        model.add_le(x + y, 7)
-        model.set_objective(-(x + y))
-        return model
-
-    def test_missing_pinned_variable_is_completed(self):
-        solution = BranchAndBoundSolver().solve(
-            self._pinned_model(), warm_start={"x": 4.0}
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-7.0)
-        assert solution.stats["warm_start_used"] == 1.0
-        assert solution.stats["warm_start_partial"] == 1.0
-        assert solution.stats["warm_start_discarded"] == 0.0
-
-    def test_completed_hint_must_still_be_feasible(self):
-        # Completion pins y=3, but the hinted x=4 then breaks x + y <= 5:
-        # the completed point is checked like any other hint and discarded.
-        model = Model()
-        x = model.add_integer("x", 0, 5)
-        y = model.add_integer("y", 0, 5)
-        model.add_equal(y, 3)
-        model.add_le(x + y, 5)
-        model.set_objective(-(x + y))
-        solution = BranchAndBoundSolver().solve(model, warm_start={"x": 4.0})
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats["warm_start_used"] == 0.0
-        assert solution.stats["warm_start_discarded"] == 1.0
-
-    def test_full_hint_reports_no_completion(self):
-        solution = BranchAndBoundSolver().solve(
-            self._pinned_model(), warm_start={"x": 4.0, "y": 3.0}
-        )
-        assert solution.stats["warm_start_used"] == 1.0
-        assert solution.stats["warm_start_partial"] == 0.0
 
 
 class TestTimeLimitHandling:

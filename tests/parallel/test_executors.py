@@ -178,21 +178,6 @@ def test_process_executor_force_keeps_real_pools(monkeypatch):
 # -- shard routing ---------------------------------------------------------------------
 
 
-def test_shard_routing_is_affine_and_balanced(scenario_pool, make_request):
-    executor = ProcessExecutor(2, force=True)
-    items = [
-        BatchItem(index=i, request=make_request(scenario_pool[0], f"k{i}"), shard_key=f"key-{i % 4}")
-        for i in range(16)
-    ]
-    shards = [executor._shard_for(item) for item in items]
-    # Affine: equal keys always map to the same shard...
-    for offset in range(4):
-        assert len({shards[i] for i in range(offset, 16, 4)}) == 1
-    # ...and distinct keys spread round-robin across shards.
-    assert sorted({shards[i] for i in range(4)}) == [0, 1]
-    executor.close()
-
-
 class _StubPool:
     """A shard pool whose futures resolve only when the test says so."""
 
@@ -208,47 +193,60 @@ class _StubPool:
         self.shut_down = True
 
 
-def test_load_routing_diverts_from_a_busy_affine_shard(scenario_pool, make_request):
+def test_units_go_to_the_least_busy_shard_ties_to_index(scenario_pool, make_request):
     executor = ProcessExecutor(2, force=True)
     pools = [_StubPool(), _StubPool()]
     executor._pools = list(pools)
-    executor._router.shard_for("first-seen")  # deals "hot" the affine shard 1
-    request = make_request(scenario_pool[0], "hot")
+    request = make_request(scenario_pool[0], "routed")
 
-    def item(index):
-        return BatchItem(index=index, request=request, shard_key="hot")
+    def submit(index):
+        item = BatchItem(index=index, request=request)
+        return item, executor.submit(item)
 
-    first = item(0)
-    first_future = executor.submit(first)
-    assert first.shard == 1
-    # The affine shard has a unit in flight and shard 0 is idle: divert.
-    second = item(1)
-    second_future = executor.submit(second)
-    assert second.shard == 0
-    assert [unit.index for unit in pools[1].units] == [0]
-    assert [unit.index for unit in pools[0].units] == [1]
+    # Both shards idle: the tie goes to index % shards.
+    first, first_future = submit(0)
+    assert first.shard == 0
+    # Shard 0 has a unit in flight and shard 1 is idle: index 2 is diverted.
+    second, second_future = submit(2)
+    assert second.shard == 1
+    assert [unit.index for unit in pools[0].units] == [0]
+    assert [unit.index for unit in pools[1].units] == [2]
 
-    # Once the affine shard drains, the key goes back to it...
+    # Once shard 0 drains, index 4 goes back to it...
     first_future.set_result(None)
-    third = item(2)
-    third_future = executor.submit(third)
-    assert third.shard == 1
-    # ...and with one unit in flight on each shard it keeps the affine
-    # shard rather than the lowest-numbered one.
-    fourth = item(3)
-    fourth_future = executor.submit(fourth)
+    third, third_future = submit(4)
+    assert third.shard == 0
+    # ...and with one unit in flight on each shard, index 5 keeps shard 1
+    # rather than the lowest-numbered one.
+    fourth, fourth_future = submit(5)
     assert fourth.shard == 1
-
-    # The diverted unit dies with its worker once the affine shard is idle
-    # again: the pool it ran on is the one discarded, not the pool routing
-    # would pick for its key now.
+    assert executor._inflight == [1, 2]
     third_future.set_result(None)
     fourth_future.set_result(None)
+    assert executor._inflight == [0, 1]
+    executor.close()
+
+
+def test_crash_retry_discards_the_pool_the_unit_ran_on(scenario_pool, make_request):
+    executor = ProcessExecutor(2, force=True)
+    pools = [_StubPool(), _StubPool()]
+    executor._pools = list(pools)
+    request = make_request(scenario_pool[0], "crashing")
+    busy = BatchItem(index=0, request=request)
+    busy_future = executor.submit(busy)
+    # Index 2 would default to shard 0, but shard 0 is busy.
+    diverted = BatchItem(index=2, request=request)
+    diverted_future = executor.submit(diverted)
+    assert (busy.shard, diverted.shard) == (0, 1)
+
+    # The diverted unit dies with its worker once shard 0 is idle again: the
+    # pool it ran on is the one discarded, not the pool its index points at.
+    busy_future.set_result(None)
     crash = BrokenProcessPool("worker died")
-    second_future.set_exception(crash)
-    assert executor.retryable(second, crash)
-    assert pools[0].shut_down and executor._pools[0] is None
-    assert not pools[1].shut_down and executor._pools[1] is pools[1]
+    diverted_future.set_exception(crash)
+    assert executor.retryable(diverted, crash)
+    assert pools[1].shut_down and executor._pools[1] is None
+    assert not pools[0].shut_down and executor._pools[0] is pools[0]
     executor.close()
 
 
@@ -259,15 +257,15 @@ def test_inflight_counts_survive_concurrent_submits_and_completions(
     executor._pools = [_StubPool(), _StubPool()]
     request = make_request(scenario_pool[0], "stress")
 
-    def hammer(thread: int) -> None:
+    def hammer() -> None:
         for index in range(150):
-            item = BatchItem(index=index, request=request, shard_key=f"k{thread % 3}")
+            item = BatchItem(index=index, request=request)
             executor.submit(item).set_result(None)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -2,9 +2,9 @@
 differential over the harness micro grid.
 
 The process strategy ships work across a pickle boundary, so the contract it
-leans on is: everything the engine accepts — requests, configs, warm-start
-hints — survives ``pickle.loads(pickle.dumps(x))`` unchanged.  Hypothesis
-drives the config and hint spaces; requests ride on generated scenarios.
+leans on is: everything the engine accepts — requests and configs — survives
+``pickle.loads(pickle.dumps(x))`` unchanged.  Hypothesis drives the config
+space; requests ride on generated scenarios.
 
 The differential closes the loop end to end: the same seeded micro grid,
 swept once with the ``serial`` executor and once with real worker processes,
@@ -50,31 +50,14 @@ config_strategy = st.builds(
     encoding=encoding_strategy,
 )
 
-warm_hint_strategy = st.dictionaries(
-    keys=st.text(
-        alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters="_"),
-        min_size=1,
-        max_size=12,
-    ),
-    values=st.floats(allow_nan=False, allow_infinity=False, width=32),
-    max_size=8,
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(config=config_strategy)
 def test_every_accepted_config_pickle_round_trips(config):
     clone = pickle.loads(pickle.dumps(config))
     assert clone == config
-    # Frozen dataclasses double as warm-cache keys; equality must come with
-    # hash equality or the shard routing / LRU would silently miss.
+    # Configs are frozen, hashable values; equality must come with hash
+    # equality.
     assert hash(clone) == hash(config)
-
-
-@settings(max_examples=60, deadline=None)
-@given(hint=warm_hint_strategy)
-def test_every_warm_hint_pickle_round_trips(hint):
-    assert pickle.loads(pickle.dumps(hint)) == hint
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,10 +71,16 @@ def test_every_accepted_request_pickle_round_trips(
     assert clone.request_id == request.request_id
     assert clone.config == request.config
     assert clone.to_dict() == request.to_dict()
-    # The engine's shard/warm key must survive the round trip too: worker-side
-    # cache seeding has to agree with parent-side routing.
-    engine = DiagnosisEngine(max_workers=1, executor="serial")
-    assert engine.warm_key(clone) == engine.warm_key(request)
+    # The worker diagnoses the same log and the same complaints.
+    assert clone.log.render_sql() == request.log.render_sql()
+
+    def complaint_keys(complaints):
+        return [
+            (complaint.rid, complaint.target, complaint.exists_in_dirty)
+            for complaint in complaints
+        ]
+
+    assert complaint_keys(clone.complaints) == complaint_keys(request.complaints)
 
 
 def test_micro_grid_identical_under_serial_and_process_executors():
